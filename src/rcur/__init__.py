@@ -6,7 +6,7 @@ Library surface:
 * :mod:`rcur.gcur` — generalized CUR of a pair (deterministic / randomized),
 * :mod:`rcur.rsvd` — restricted SVD of a triplet,
 * :mod:`rcur.rsvd_cur` — CUR of a triplet driven by restricted-SVD factors,
-* :mod:`rcur.selection` — DEIM, L-DEIM and leverage-score index selection,
+* :mod:`rcur.selection` — DEIM and L-DEIM index selection,
 * :mod:`rcur.synth` / :mod:`rcur.bench` — seeded generators and experiments.
 """
 from .cur import CurFactors, deim_cur
@@ -23,7 +23,7 @@ from .gcur import (
     sketch_tail_bound,
 )
 from .gsvd import GsvdFactors, gsvd, randomized_gsvd
-from .linalg import DimensionError, RankDeficiencyError
+from .linalg import DimensionError, RankDeficiencyError, relative_error
 from .rsvd import RsvdFactors, randomized_rsvd, rsvd_deterministic
 from .rsvd_cur import (
     RsvdCurBound,
@@ -38,12 +38,11 @@ from .selection import (
     SelectionResult,
     deim_select,
     ldeim_select,
-    leverage_select,
+    select_indices,
 )
 from .sketch import SketchConfig, gaussian_matrix, range_finder, split_seed
 from .synth import (
     bfg_perturb,
-    relative_error,
     sparse_lowrank,
     subgroup_data,
     toeplitz_noise,
@@ -74,7 +73,6 @@ __all__ = [
     "gcur_from_factors",
     "gsvd",
     "ldeim_select",
-    "leverage_select",
     "middle_matrix",
     "r_deim_gcur",
     "r_ldeim_gcur",
@@ -87,6 +85,7 @@ __all__ = [
     "rsvd_cur_from_factors",
     "rsvd_deterministic",
     "rsvdcur_bound",
+    "select_indices",
     "sketch_tail_bound",
     "sparse_lowrank",
     "split_seed",

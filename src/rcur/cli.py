@@ -1,39 +1,37 @@
 """Command-line surface for the decompositions, generators and benchmarks.
 
 Exit codes: 0 on success, 1 on numerical failure (rank deficiency,
-non-finite input, incompatible shapes), 2 on usage errors.
+non-finite input, incompatible shapes, a rank the factors cannot carry),
+2 on usage errors.
 
-Set ``RCUR_THREADS`` to cap the BLAS/LAPACK thread pools for the whole run.
-All reports are CSV; identical command lines (including ``--seed``) produce
-byte-identical reports apart from the ``wall_ms`` column.
+The BLAS/LAPACK thread pools are set by the usual environment variables,
+``OPENBLAS_NUM_THREADS`` (OpenBLAS) or ``OMP_NUM_THREADS`` (OpenMP builds),
+read when numpy loads.  All reports are CSV; identical command lines
+(including ``--seed``) produce byte-identical reports apart from the
+``wall_ms`` column, whatever the thread count.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
-import warnings
 
 import numpy as np
 
 from . import bench
 from .cur import deim_cur
-from .gcur import gcur_from_factors, gcur_error
+from .gcur import gcur_deterministic, gcur_error, r_deim_gcur, r_ldeim_gcur
 from .gsvd import gsvd, randomized_gsvd
 from .io import write_matrix
+from .linalg import relative_error
 from .rsvd import randomized_rsvd, rsvd_deterministic
-from .rsvd_cur import rsvd_cur_from_factors
+from .rsvd_cur import r_ldeim_rsvd_cur, rsvd_cur, rsvd_cur_from_factors
 from .selection import Method
 from .sketch import SketchConfig
-from .synth import bfg_perturb, sparse_lowrank, subgroup_data, toeplitz_noise
+from .synth import sparse_lowrank, subgroup_data
 
 __all__ = ["main", "run"]
-
-# generalized values with gamma/beta below this are warned about: the target
-# rank exceeds the numerical rank of A against B and errors will plateau
-RATIO_WARN_TOL = 1e-12
 
 
 def _fmt(x):
@@ -62,21 +60,16 @@ def _read(path):
     return read_matrix(path)
 
 
-def _warn_small_ratios(factors, k):
-    ratios = factors.gamma[:k] / np.maximum(factors.beta[:k], 1e-300)
-    if np.any(ratios < RATIO_WARN_TOL):
-        warnings.warn(
-            "trailing generalized-value ratios fall below 1e-12; "
-            "the rank-k error will plateau",
-            stacklevel=2,
-        )
+def _config(args):
+    """The run's sketch parameters; also owns the default L-DEIM budget."""
+    return SketchConfig(args.k, args.oversampling, ldeim_budget=args.khat,
+                        seed=args.seed)
 
 
 def _cmd_gsvd(args):
     a, b = _read(args.a), _read(args.b)
     if args.randomized:
-        cfg = SketchConfig(args.k, args.oversampling, seed=args.seed)
-        factors, _ = randomized_gsvd(a, b, cfg)
+        factors, _ = randomized_gsvd(a, b, _config(args))
     else:
         factors = gsvd(a, b)
     write_matrix(f"{args.out_prefix}_U.mtx", factors.u)
@@ -94,8 +87,7 @@ def _cmd_gsvd(args):
 def _cmd_rsvd(args):
     a, b, g = _read(args.a), _read(args.b), _read(args.g)
     if args.randomized:
-        cfg = SketchConfig(args.k, args.oversampling, seed=args.seed)
-        factors = randomized_rsvd(a, b, g, cfg)
+        factors = randomized_rsvd(a, b, g, _config(args))
     else:
         factors = rsvd_deterministic(a, b, g)
     write_matrix(f"{args.out_prefix}_Z.mtx", factors.z)
@@ -110,16 +102,12 @@ def _cmd_rsvd(args):
     return 0
 
 
-def _method_of(args):
-    return Method.LDEIM if args.method == "ldeim" else Method.DEIM
-
-
 def _cmd_cur(args):
     a = _read(args.a)
     t0 = time.perf_counter()
-    fac = deim_cur(a, args.k, _method_of(args), args.khat)
+    fac = deim_cur(a, args.k, Method(args.method), args.khat)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    err = float(np.linalg.norm(a - fac.reconstruct(a), 2) / np.linalg.norm(a, 2))
+    err = relative_error(a, fac.reconstruct(a))
     rows = [{
         "method": args.method, "k": args.k,
         "khat": args.khat if args.khat is not None else "",
@@ -132,29 +120,23 @@ def _cmd_cur(args):
 
 def _cmd_gcur(args):
     a, b = _read(args.a), _read(args.b)
-    k = args.k
-    khat = args.khat if args.khat is not None else max(1, -(-k // 2))
-    method = _method_of(args)
+    cfg = _config(args)
+    method = Method(args.method)
     t0 = time.perf_counter()
-    if args.randomized:
-        cfg = SketchConfig(k, args.oversampling, ldeim_budget=khat,
-                           seed=args.seed)
-        width = (khat if method is Method.LDEIM else k) + args.oversampling
-        gfac, _ = randomized_gsvd(a, b, cfg, sketch_width=width)
+    if not args.randomized:
+        fac = gcur_deterministic(a, b, args.k, method, cfg.ldeim_budget)
+    elif method is Method.LDEIM:
+        fac = r_ldeim_gcur(a, b, cfg)
     else:
-        gfac = gsvd(a, b)
-    fac = gcur_from_factors(a, b, gfac, k, method, khat)
+        fac = r_deim_gcur(a, b, cfg)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    _warn_small_ratios(gfac, min(k, gfac.n_pairs))
-    err_a = gcur_error(a, fac)
-    err_b = float(
-        np.linalg.norm(b - fac.reconstruct_b(b), 2) / np.linalg.norm(b, 2)
-    )
     rows = [{
-        "method": args.method, "k": k, "khat": khat,
+        "method": args.method, "k": args.k, "khat": cfg.ldeim_budget,
         "p": args.oversampling if args.randomized else "",
         "seed": args.seed if args.randomized else "",
-        "err_a": err_a, "err_b": err_b, "wall_ms": wall_ms,
+        "err_a": gcur_error(a, fac),
+        "err_b": relative_error(b, fac.reconstruct_b(b)),
+        "wall_ms": wall_ms,
         "indices_p": _join_indices(fac.p),
         "indices_s_a": _join_indices(fac.s_a),
         "indices_s_b": _join_indices(fac.s_b),
@@ -165,33 +147,26 @@ def _cmd_gcur(args):
 
 def _cmd_rsvd_cur(args):
     a, b, g = _read(args.a), _read(args.b), _read(args.g)
-    k = args.k
-    khat = args.khat if args.khat is not None else max(1, -(-k // 2))
-    method = _method_of(args)
+    cfg = _config(args)
+    method = Method(args.method)
     t0 = time.perf_counter()
-    if args.randomized:
-        cfg = SketchConfig(k, args.oversampling, ldeim_budget=khat,
-                           seed=args.seed)
-        width = (khat if method is Method.LDEIM else k) + args.oversampling
-        rfac = randomized_rsvd(a, b, g, cfg, sketch_width=width)
+    if not args.randomized:
+        fac = rsvd_cur(a, b, g, args.k, method, cfg.ldeim_budget)
+    elif method is Method.LDEIM:
+        fac = r_ldeim_rsvd_cur(a, b, g, cfg)
     else:
-        rfac = rsvd_deterministic(a, b, g)
-    fac = rsvd_cur_from_factors(a, b, g, rfac, k, method, khat)
+        # no randomized DEIM entry point: (k+p)-wide sketch, DEIM selection
+        fac = rsvd_cur_from_factors(a, b, g, randomized_rsvd(a, b, g, cfg),
+                                    args.k)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    err_a = float(
-        np.linalg.norm(a - fac.reconstruct_a(a), 2) / np.linalg.norm(a, 2)
-    )
-    err_b = float(
-        np.linalg.norm(b - fac.reconstruct_b(b), 2) / np.linalg.norm(b, 2)
-    )
-    err_g = float(
-        np.linalg.norm(g - fac.reconstruct_g(g), 2) / np.linalg.norm(g, 2)
-    )
     rows = [{
-        "method": args.method, "k": k, "khat": khat,
+        "method": args.method, "k": args.k, "khat": cfg.ldeim_budget,
         "p": args.oversampling if args.randomized else "",
         "seed": args.seed if args.randomized else "",
-        "err_a": err_a, "err_b": err_b, "err_g": err_g, "wall_ms": wall_ms,
+        "err_a": relative_error(a, fac.reconstruct_a(a)),
+        "err_b": relative_error(b, fac.reconstruct_b(b)),
+        "err_g": relative_error(g, fac.reconstruct_g(g)),
+        "wall_ms": wall_ms,
         "indices_p": _join_indices(fac.p),
         "indices_p_b": _join_indices(fac.p_b),
         "indices_s": _join_indices(fac.s),
@@ -353,24 +328,11 @@ def run(argv=None):
     if getattr(args, "needs_k_if_randomized", False):
         if args.randomized and args.k is None:
             parser.error(f"{args.command}: --randomized requires -k")
-
-    threads = os.environ.get("RCUR_THREADS")
-    limits = None
-    if threads:
-        try:
-            from threadpoolctl import threadpool_limits
-            limits = threadpool_limits(limits=int(threads))
-        except ImportError:
-            print("RCUR_THREADS set but threadpoolctl is unavailable; "
-                  "thread cap not applied", file=sys.stderr)
     try:
         return args.func(args)
     except (np.linalg.LinAlgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if limits is not None:
-            limits.unregister()
 
 
 def main():

@@ -7,7 +7,7 @@ import numpy as np
 
 from .linalg import as_matrix, select_columns, select_rows, svd_thin
 from .gcur import middle_matrix
-from .selection import Method, deim_select, ldeim_select
+from .selection import Method, select_indices
 
 __all__ = ["CurFactors", "deim_cur"]
 
@@ -27,12 +27,6 @@ def deim_cur(a, k, method=Method.DEIM, khat=None):
     """Rank-k CUR with indices from DEIM (or L-DEIM) on the singular vectors."""
     a = as_matrix(a)
     u, _, v = svd_thin(a)
-    if method is Method.DEIM:
-        p = deim_select(v[:, :k]).indices
-        s = deim_select(u[:, :k]).indices
-    else:
-        if khat is None:
-            khat = max(1, -(-k // 2))
-        p = ldeim_select(v[:, :khat], k).indices
-        s = ldeim_select(u[:, :khat], k).indices
+    p = select_indices(v, k, method, khat)
+    s = select_indices(u, k, method, khat)
     return CurFactors(p=p, s=s, m=middle_matrix(a, p, s), k=k)

@@ -12,20 +12,21 @@ pseudoinverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import warnings
 
 import numpy as np
 
 from .linalg import (
     RankDeficiencyError,
     as_matrix,
-    lstsq_solve,
+    relative_error,
     select_columns,
     select_rows,
     svd_thin,
     two_norm,
 )
 from .gsvd import GsvdFactors, gsvd, randomized_gsvd
-from .selection import Method, deim_select, ldeim_select
+from .selection import Method, deim_growth_bound, leading_columns, select_indices
 from .sketch import SketchConfig
 
 __all__ = [
@@ -40,6 +41,10 @@ __all__ = [
     "gcur_bound",
 ]
 
+# generalized values with gamma/beta below this are warned about: the target
+# rank exceeds the numerical rank of A against B and errors will plateau
+RATIO_WARN_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class GcurFactors:
@@ -49,15 +54,13 @@ class GcurFactors:
     s_a: np.ndarray
     m_a: np.ndarray
     k: int
-    s_b: np.ndarray | None = None
-    m_b: np.ndarray | None = None
+    s_b: np.ndarray
+    m_b: np.ndarray
 
     def reconstruct_a(self, a):
         return select_columns(a, self.p) @ self.m_a @ select_rows(a, self.s_a)
 
     def reconstruct_b(self, b):
-        if self.s_b is None:
-            raise ValueError("B-side factors were skipped for this run")
         return select_columns(b, self.p) @ self.m_b @ select_rows(b, self.s_b)
 
 
@@ -91,53 +94,51 @@ def middle_matrix(m, p, s):
     return mid_t.T
 
 
-def _select(basis, k, method, khat):
-    if method is Method.DEIM:
-        return deim_select(basis[:, :k]).indices
-    return ldeim_select(basis[:, :khat], k).indices
-
-
 def gcur_from_factors(a, b, factors: GsvdFactors, k, method=Method.DEIM,
-                      khat=None, a_only=False):
-    """Build GCUR indices and middle matrices from precomputed GSVD factors."""
-    if khat is None:
-        khat = max(1, -(-k // 2))
-    p = _select(factors.y, k, method, khat)
-    s_a = _select(factors.u, k, method, khat)
-    m_a = middle_matrix(a, p, s_a)
-    if a_only:
-        return GcurFactors(p=p, s_a=s_a, m_a=m_a, k=k)
-    s_b = _select(factors.v, k, method, khat)
-    m_b = middle_matrix(b, p, s_b)
-    return GcurFactors(p=p, s_a=s_a, m_a=m_a, k=k, s_b=s_b, m_b=m_b)
+                      khat=None):
+    """Build GCUR indices and middle matrices from precomputed GSVD factors.
+
+    Warns when a generalized-value ratio gamma/beta among the pairs the
+    selection reads falls below ``RATIO_WARN_TOL``.
+    """
+    p = select_indices(factors.y, k, method, khat)
+    s_a = select_indices(factors.u, k, method, khat)
+    s_b = select_indices(factors.v, k, method, khat)
+    fac = GcurFactors(p=p, s_a=s_a, m_a=middle_matrix(a, p, s_a), k=k,
+                      s_b=s_b, m_b=middle_matrix(b, p, s_b))
+    used = leading_columns(k, method, khat)
+    ratios = factors.gamma[:used] / np.maximum(factors.beta[:used], 1e-300)
+    if np.any(ratios < RATIO_WARN_TOL):
+        warnings.warn(
+            "trailing generalized-value ratios fall below 1e-12; "
+            "the rank-k error will plateau",
+            stacklevel=2,
+        )
+    return fac
 
 
-def gcur_deterministic(a, b, k, method=Method.DEIM, khat=None, a_only=False):
+def gcur_deterministic(a, b, k, method=Method.DEIM, khat=None):
     """Rank-k GCUR from the full GSVD of (A, B)."""
-    return gcur_from_factors(a, b, gsvd(a, b), k, method, khat, a_only)
+    return gcur_from_factors(a, b, gsvd(a, b), k, method, khat)
 
 
-def r_deim_gcur(a, b, cfg: SketchConfig, a_only=False):
+def r_deim_gcur(a, b, cfg: SketchConfig):
     """Randomized DEIM-GCUR: DEIM on a (k+p)-wide sketched GSVD."""
     factors, _ = randomized_gsvd(a, b, cfg)
-    return gcur_from_factors(a, b, factors, cfg.target_rank, Method.DEIM,
-                             a_only=a_only)
+    return gcur_from_factors(a, b, factors, cfg.target_rank, Method.DEIM)
 
 
-def r_ldeim_gcur(a, b, cfg: SketchConfig, a_only=False):
+def r_ldeim_gcur(a, b, cfg: SketchConfig):
     """Randomized L-DEIM GCUR: khat-wide sketch, L-DEIM extends to k indices."""
-    khat = cfg.ldeim_budget
-    factors, _ = randomized_gsvd(
-        a, b, cfg, sketch_width=khat + cfg.oversampling
-    )
+    factors, _ = randomized_gsvd(a, b, cfg,
+                                 sketch_width=cfg.width(Method.LDEIM))
     return gcur_from_factors(a, b, factors, cfg.target_rank, Method.LDEIM,
-                             khat=khat, a_only=a_only)
+                             khat=cfg.ldeim_budget)
 
 
 def gcur_error(a, factors: GcurFactors):
     """Relative spectral-norm error of the A-side reconstruction."""
-    a = as_matrix(a)
-    return two_norm(a - factors.reconstruct_a(a)) / two_norm(a)
+    return relative_error(a, factors.reconstruct_a(a))
 
 
 def sketch_tail_bound(singular_values, k, p):
@@ -164,14 +165,14 @@ def gcur_bound(a, b, k, p):
         raise ValueError("bound needs k < n so the (k+1)th pair value exists")
     _, sa, _ = svd_thin(a)
     theta = sketch_tail_bound(sa, k, p)
-    eta = np.sqrt(n * k / 3.0) * 2.0**k + np.sqrt(m * k / 3.0) * 2.0**k
+    eta = deim_growth_bound(n, k) + deim_growth_bound(m, k)
     factors = gsvd(a, b)
     gam, bet = factors.gamma[k], factors.beta[k]
     _, s_stack, _ = svd_thin(np.vstack([a, b]))
     pinv_norm = 1.0 / s_stack[-1]
     norm_sum = two_norm(a) + two_norm(b)
     bound_a = eta * (theta + norm_sum * (gam / bet + theta / bet * pinv_norm))
-    eta_b = np.sqrt(n * k / 3.0) * 2.0**k + np.sqrt(d * k / 3.0) * 2.0**k
+    eta_b = deim_growth_bound(n, k) + deim_growth_bound(d, k)
     bound_b = eta_b * norm_sum
     return GcurBound(theta_k=float(theta), eta_k=float(eta),
                      bound_a=float(bound_a), bound_b=float(bound_b), k=k, p=p)

@@ -11,7 +11,7 @@ factor (a CS-decomposition step), which costs O((m+d) n^2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .linalg import (
     complete_orthonormal,
     qr_thin,
 )
+from .selection import Method
 from .sketch import SketchConfig, range_finder
 
 __all__ = ["GsvdFactors", "gsvd", "randomized_gsvd", "BETA_ZERO_TOL"]
@@ -46,10 +47,6 @@ class GsvdFactors:
     gamma: np.ndarray
     beta: np.ndarray
     small_beta: np.ndarray
-
-    @property
-    def n_pairs(self):
-        return len(self.gamma)
 
     def reconstruct_a(self):
         r = self.u.shape[1]
@@ -137,30 +134,18 @@ def gsvd(a, b):
 def randomized_gsvd(a, b, cfg: SketchConfig, sketch_width=None):
     """Randomized GSVD: exact GSVD of (Q Q^T A, B) on a sketched range of A.
 
-    Returns (factors, q) where q is the m-by-(k+p) range basis.  The U factor
-    has k+p columns; B is factored exactly, A only through its projection
-    onto range(q).
+    Returns (factors, q) where q is the m-by-width range basis, the width
+    defaulting to ``cfg.width(Method.DEIM)`` = k+p.  The U factor has that
+    many columns; B is factored exactly, A only through its projection onto
+    range(q).
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
-    width = sketch_width if sketch_width is not None else (
-        cfg.target_rank + cfg.oversampling
-    )
+    width = cfg.width(Method.DEIM) if sketch_width is None else sketch_width
     if width > a.shape[1]:
         raise DimensionError(
             f"sketch width {width} exceeds column count {a.shape[1]}"
         )
     q = range_finder(a, width, cfg.seed)
     factors = _cs_gsvd(q.T @ a, b)
-    u = q @ factors.u
-    return (
-        GsvdFactors(
-            u=u,
-            v=factors.v,
-            y=factors.y,
-            gamma=factors.gamma,
-            beta=factors.beta,
-            small_beta=factors.small_beta,
-        ),
-        q,
-    )
+    return replace(factors, u=q @ factors.u), q

@@ -17,6 +17,7 @@ __all__ = [
     "svd_thin",
     "lstsq_solve",
     "two_norm",
+    "relative_error",
     "select_columns",
     "select_rows",
     "complete_orthonormal",
@@ -89,6 +90,18 @@ def two_norm(a):
     if a.size == 0 or not a.any():
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def relative_error(a, ahat):
+    """Spectral-norm relative error ||A - Ahat|| / ||A||."""
+    a = as_matrix(a, "A")
+    ahat = as_matrix(ahat, "Ahat")
+    if a.shape != ahat.shape:
+        raise DimensionError(f"shape mismatch: {a.shape} vs {ahat.shape}")
+    denom = two_norm(a)
+    if denom == 0.0:
+        raise ValueError("reference matrix has zero norm")
+    return two_norm(a - ahat) / denom
 
 
 def select_columns(a, idx):

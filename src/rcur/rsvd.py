@@ -16,7 +16,7 @@ sketch-tail error bounds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .linalg import (
     qr_thin,
 )
 from .gsvd import _cs_gsvd
+from .selection import Method
 from .sketch import SketchConfig, gaussian_matrix, split_seed
 
 __all__ = ["RsvdFactors", "rsvd_deterministic", "randomized_rsvd"]
@@ -139,13 +140,8 @@ def rsvd_deterministic(a, b, g, full_factors=True):
     f2 = _cs_gsvd(x, bt_u1, require_full_rank=False)
     factors = _assemble(f1, u1_full, f2, f2.v)
     if full_factors:
-        factors = RsvdFactors(
-            z=factors.z, w=factors.w,
-            u=complete_orthonormal(factors.u),
-            v=complete_orthonormal(factors.v),
-            alpha=factors.alpha, beta=factors.beta, gamma=factors.gamma,
-            b_diag=factors.b_diag,
-        )
+        factors = replace(factors, u=complete_orthonormal(factors.u),
+                          v=complete_orthonormal(factors.v))
     return factors
 
 
@@ -153,9 +149,9 @@ def randomized_rsvd(a, b, g, cfg: SketchConfig, sketch_width=None):
     """Randomized RSVD: both inner GSVDs act on sketched projections.
 
     The first sketch is full width n (so Sigma_1 stays square); the second
-    sketches B^T U_1 down to ``sketch_width`` columns (default k + p,
-    clamped to at least m - n so the reduced pair stays well posed, and to
-    at most l).
+    sketches B^T U_1 down to ``sketch_width`` columns (default
+    ``cfg.width(Method.DEIM)`` = k + p, clamped to at least m - n so the
+    reduced pair stays well posed, and to at most l).
     """
     a, b, g = _check_triplet(a, b, g)
     m, n = a.shape
@@ -165,13 +161,10 @@ def randomized_rsvd(a, b, g, cfg: SketchConfig, sketch_width=None):
     omega1 = gaussian_matrix(n, n, seed1)
     h1, _ = qr_thin(g @ omega1)
     f1 = _cs_gsvd(h1.T @ g, a)
-    f1 = type(f1)(u=h1 @ f1.u, v=f1.v, y=f1.y, gamma=f1.gamma,
-                  beta=f1.beta, small_beta=f1.small_beta)
+    f1 = replace(f1, u=h1 @ f1.u)
     u1_full = complete_orthonormal(f1.v)
 
-    width = sketch_width if sketch_width is not None else (
-        cfg.target_rank + cfg.oversampling
-    )
+    width = cfg.width(Method.DEIM) if sketch_width is None else sketch_width
     width = min(max(width, m - n + 1, 1), ell)
     x = _sigma_inv_gamma_t(f1, m)
     bt_u1 = b.T @ u1_full

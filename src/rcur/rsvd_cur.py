@@ -16,7 +16,7 @@ import numpy as np
 from .linalg import as_matrix, qr_thin, select_columns, select_rows, svd_thin, two_norm
 from .gcur import middle_matrix, sketch_tail_bound
 from .rsvd import RsvdFactors, randomized_rsvd, rsvd_deterministic
-from .selection import Method, deim_select, ldeim_select
+from .selection import Method, deim_growth_bound, select_indices
 from .sketch import SketchConfig
 
 __all__ = [
@@ -63,12 +63,6 @@ class RsvdCurBound:
     t_hat_z: float
 
 
-def _select(basis, k, method, khat):
-    if method is Method.DEIM:
-        return deim_select(basis[:, :k]).indices
-    return ldeim_select(basis[:, :khat], k).indices
-
-
 def _carrying_columns(u):
     """Drop structurally zero columns (pairs the sketched factor cannot carry).
 
@@ -83,12 +77,10 @@ def _carrying_columns(u):
 def rsvd_cur_from_factors(a, b, g, factors: RsvdFactors, k,
                           method=Method.DEIM, khat=None):
     """Select indices from RSVD factors (W -> p, Z -> s, U -> p_B, V -> s_G)."""
-    if khat is None:
-        khat = max(1, -(-k // 2))
-    p = _select(factors.w, k, method, khat)
-    s = _select(factors.z, k, method, khat)
-    p_b = _select(_carrying_columns(factors.u), k, method, khat)
-    s_g = _select(factors.v, k, method, khat)
+    p = select_indices(factors.w, k, method, khat)
+    s = select_indices(factors.z, k, method, khat)
+    p_b = select_indices(_carrying_columns(factors.u), k, method, khat)
+    s_g = select_indices(factors.v, k, method, khat)
     return RsvdCurFactors(
         p=p, p_b=p_b, s=s, s_g=s_g,
         m_a=middle_matrix(a, p, s),
@@ -106,11 +98,10 @@ def rsvd_cur(a, b, g, k, method=Method.DEIM, khat=None):
 
 def r_ldeim_rsvd_cur(a, b, g, cfg: SketchConfig):
     """Randomized L-DEIM RSVD-CUR: khat-wide second sketch, k indices."""
-    khat = cfg.ldeim_budget
     factors = randomized_rsvd(a, b, g, cfg,
-                              sketch_width=khat + cfg.oversampling)
+                              sketch_width=cfg.width(Method.LDEIM))
     return rsvd_cur_from_factors(a, b, g, factors, cfg.target_rank,
-                                 Method.LDEIM, khat=khat)
+                                 Method.LDEIM, khat=cfg.ldeim_budget)
 
 
 def _tail_block_norm(mat, khat):
@@ -140,9 +131,9 @@ def rsvdcur_bound(a, b, g, factors: RsvdFactors, k, khat, p):
     e_g = sketch_tail_bound(sg, khat, max(n - khat, 1))
     e_b = sketch_tail_bound(sb, khat, p)
 
-    eta_g = np.sqrt(n * khat / 3.0) * 2.0**khat + np.sqrt(d * khat / 3.0) * 2.0**khat
-    eta_b = np.sqrt(ell * khat / 3.0) * 2.0**khat + np.sqrt(m * khat / 3.0) * 2.0**khat
-    eta_a = np.sqrt(n * khat / 3.0) * 2.0**khat + np.sqrt(m * khat / 3.0) * 2.0**khat
+    eta_g = deim_growth_bound(n, khat) + deim_growth_bound(d, khat)
+    eta_b = deim_growth_bound(ell, khat) + deim_growth_bound(m, khat)
+    eta_a = deim_growth_bound(n, khat) + deim_growth_bound(m, khat)
 
     alpha_next = float(factors.alpha[k]) if k < len(factors.alpha) else 0.0
     return RsvdCurBound(

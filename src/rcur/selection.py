@@ -1,14 +1,14 @@
-"""Index selection strategies: DEIM, L-DEIM and leverage-score sampling.
+"""Index selection: DEIM, L-DEIM and the policy shared by every decomposition.
 
 All selectors return distinct zero-based row indices of the input basis
 matrix.  Every argmax breaks ties by lowest index, so results are fully
-deterministic.
+deterministic.  CUR, GCUR and RSVD-CUR all select through
+:func:`select_indices`, which owns the L-DEIM budget default.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-import warnings
 
 import numpy as np
 
@@ -19,8 +19,9 @@ __all__ = [
     "SelectionResult",
     "deim_select",
     "ldeim_select",
-    "leverage_scores",
-    "leverage_select",
+    "default_khat",
+    "leading_columns",
+    "select_indices",
     "deim_growth_bound",
 ]
 
@@ -28,7 +29,6 @@ __all__ = [
 class Method(Enum):
     DEIM = "deim"
     LDEIM = "ldeim"
-    LEVERAGE = "leverage"
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,6 @@ class SelectionResult:
         if len(np.unique(ind)) != len(ind):
             raise ValueError(f"selected indices are not distinct: {ind}")
         object.__setattr__(self, "indices", ind)
-
-    def __len__(self):
-        return len(self.indices)
 
 
 def deim_select(v):
@@ -102,26 +99,33 @@ def ldeim_select(v, k):
     return SelectionResult(p, Method.LDEIM)
 
 
-def leverage_scores(v):
-    """Squared row norms of ``v``; sums to the column count when orthonormal."""
-    v = as_matrix(v, "basis")
-    gram_err = np.linalg.norm(v.T @ v - np.eye(v.shape[1]))
-    if gram_err > 1e-8:
-        warnings.warn(
-            f"basis columns deviate from orthonormality by {gram_err:.2e}",
-            stacklevel=2,
+def default_khat(k):
+    """L-DEIM basis budget used when none is given: ceil(k/2), at least 1."""
+    return max(1, -(-k // 2))
+
+
+def leading_columns(k, method, khat=None):
+    """Basis columns a rank-k selection reads: k for DEIM, khat for L-DEIM."""
+    if method is Method.DEIM:
+        return k
+    return default_khat(k) if khat is None else khat
+
+
+def select_indices(basis, k, method=Method.DEIM, khat=None):
+    """``k`` row indices of ``basis`` by DEIM or L-DEIM on its leading columns.
+
+    Raises ValueError when the basis has fewer columns than the selection
+    reads, instead of silently selecting from a narrower basis.
+    """
+    width = leading_columns(k, method, khat)
+    if width > basis.shape[1]:
+        raise ValueError(
+            f"{method.value} needs {width} basis columns for rank {k}, "
+            f"but the basis has {basis.shape[1]}"
         )
-    return np.einsum("ij,ij->i", v, v)
-
-
-def leverage_select(v, k):
-    """Indices of the ``k`` largest leverage scores, ties broken by lowest index."""
-    v = as_matrix(v, "basis")
-    if k > v.shape[0]:
-        raise ValueError(f"cannot select {k} of {v.shape[0]} rows")
-    scores = leverage_scores(v)
-    order = np.argsort(-scores, kind="stable")
-    return SelectionResult(order[:k], Method.LEVERAGE)
+    if method is Method.DEIM:
+        return deim_select(basis[:, :k]).indices
+    return ldeim_select(basis[:, :width], k).indices
 
 
 def deim_growth_bound(m, k):

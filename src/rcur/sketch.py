@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, qr_thin
+from .selection import Method, default_khat, leading_columns
 
 __all__ = ["SketchConfig", "gaussian_matrix", "range_finder", "split_seed"]
 
@@ -15,8 +16,9 @@ class SketchConfig:
     """Parameters of a randomized run.
 
     target_rank:  rank k of the final decomposition.
-    oversampling: extra sketch columns p beyond the target rank.
-    ldeim_budget: number khat <= k of basis vectors handed to L-DEIM.
+    oversampling: extra sketch columns p (see :meth:`width`).
+    ldeim_budget: number khat <= k of basis vectors handed to L-DEIM
+                  (default ceil(k/2)).
     seed:         64-bit seed; fixing it makes every run reproducible.
     """
 
@@ -30,13 +32,16 @@ class SketchConfig:
             raise ValueError("target_rank must be >= 1")
         if self.oversampling < 0:
             raise ValueError("oversampling must be >= 0")
-        khat = self.ldeim_budget
-        if khat is None:
-            # default from the L-DEIM guidance: half the target rank
-            khat = max(1, -(-self.target_rank // 2))
-            object.__setattr__(self, "ldeim_budget", khat)
-        if not 1 <= khat <= self.target_rank:
+        if self.ldeim_budget is None:
+            object.__setattr__(self, "ldeim_budget",
+                               default_khat(self.target_rank))
+        if not 1 <= self.ldeim_budget <= self.target_rank:
             raise ValueError("ldeim_budget must satisfy 1 <= khat <= k")
+
+    def width(self, method: Method):
+        """Sketch width for ``method``: the basis columns it reads plus p."""
+        return (leading_columns(self.target_rank, method, self.ldeim_budget)
+                + self.oversampling)
 
 
 def split_seed(seed, n):

@@ -1,4 +1,4 @@
-"""Seeded generators for the synthetic benchmark matrices, plus error metrics.
+"""Seeded generators for the synthetic benchmark matrices.
 
 All generators are pure functions of their parameters and the seed
 (counter-based Philox streams), so every experiment is reproducible.
@@ -17,7 +17,6 @@ __all__ = [
     "toeplitz_noise",
     "bfg_perturb",
     "subgroup_data",
-    "relative_error",
 ]
 
 
@@ -129,15 +128,3 @@ def subgroup_data(m, d, seed=0, means=None, variances=None):
         [np.sqrt(v) * rng.standard_normal((m, d)) for v in BACKGROUND_VARIANCES]
     )
     return target, background
-
-
-def relative_error(a, ahat):
-    """Spectral-norm relative error ||A - Ahat|| / ||A||."""
-    a = as_matrix(a, "A")
-    ahat = as_matrix(ahat, "Ahat")
-    if a.shape != ahat.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {ahat.shape}")
-    denom = two_norm(a)
-    if denom == 0.0:
-        raise ValueError("reference matrix has zero norm")
-    return two_norm(a - ahat) / denom

@@ -1,10 +1,17 @@
 import csv
+import os
+from pathlib import Path
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import rcur
+from rcur.bench import exp1_instance
 from rcur.cli import run
-from rcur.io import read_matrix, write_matrix
+from rcur.io import read_matrix, write_csv, write_matrix
 
 
 @pytest.fixture()
@@ -30,6 +37,15 @@ def triplet(tmp_path):
         write_matrix(path, mat)
         paths.append(str(path))
     return a, b, g, paths
+
+
+@pytest.fixture()
+def exp1_pair(tmp_path):
+    _, e, a_e = exp1_instance(600, 80, 0.1, 0)
+    pa, pe = tmp_path / "ae.mtx", tmp_path / "e.csv"
+    write_matrix(pa, a_e)
+    write_csv(pe, e)
+    return a_e, e, str(pa), str(pe)
 
 
 def read_report(path):
@@ -121,6 +137,61 @@ def test_reports_byte_identical_apart_from_wall_ms(pair, tmp_path):
     a_row.pop("wall_ms")
     b_row.pop("wall_ms")
     assert a_row == b_row
+
+
+def _plateau_warnings(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    return code, [w for w in caught if "plateau" in str(w.message)]
+
+
+def test_sketched_ldeim_gcur_does_not_warn_about_unsketched_pairs(exp1_pair,
+                                                                  tmp_path):
+    # khat + p = 15 < k = 20: the gammas past the sketch width are zero by
+    # construction, but L-DEIM reads only the first khat pairs
+    _, _, pa, pe = exp1_pair
+    code, caught = _plateau_warnings(
+        ["gcur", "--a", pa, "--b", pe, "-k", "20", "--method", "ldeim",
+         "--randomized", "--report", str(tmp_path / "r.csv")])
+    assert code == 0
+    assert caught == []
+
+
+def test_tiny_generalized_values_still_warn(exp1_pair, tmp_path):
+    a_e, e, pa, _ = exp1_pair
+    pe = tmp_path / "e_big.mtx"
+    write_matrix(pe, 1e15 * e)
+    code, caught = _plateau_warnings(
+        ["gcur", "--a", pa, "--b", str(pe), "-k", "5",
+         "--report", str(tmp_path / "r.csv")])
+    assert code == 0
+    assert len(caught) == 1
+
+
+def _report_without_wall_ms(path):
+    lines = Path(path).read_text().splitlines()
+    drop = lines[0].split(",").index("wall_ms")
+    return [[f for i, f in enumerate(line.split(",")) if i != drop]
+            for line in lines]
+
+
+def test_reports_identical_across_blas_thread_counts(exp1_pair, tmp_path):
+    _, _, pa, pe = exp1_pair
+    src = str(Path(rcur.__file__).resolve().parents[1])
+    for extra in ([], ["--method", "ldeim", "--randomized", "--seed", "2"]):
+        reports = []
+        for threads in ("1", "2"):
+            report = tmp_path / f"r{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run(
+                [sys.executable, "-m", "rcur.cli", "gcur", "--a", pa,
+                 "--b", pe, "-k", "10", *extra, "--report", str(report)],
+                env=env, check=True)
+            reports.append(_report_without_wall_ms(report))
+        assert reports[0] == reports[1]
 
 
 def test_synth_command(tmp_path):

@@ -79,14 +79,23 @@ def test_b_side_reconstruction_tracks_rank():
     assert np.linalg.norm(b - fac.reconstruct_b(b)) < 1e-6 * np.linalg.norm(b)
 
 
-def test_a_only_skips_b_side():
+def test_rank_above_basis_width_is_rejected():
     rng = np.random.default_rng(5)
-    a = rng.standard_normal((20, 10))
+    a = rng.standard_normal((300, 40))
+    # the SVD basis of a 300x40 matrix has only 40 columns
+    with pytest.raises(ValueError, match="basis has 40"):
+        deim_cur(a, 50)
     b = rng.standard_normal((15, 10))
-    fac = gcur_deterministic(a, b, 3, a_only=True)
-    assert fac.s_b is None
-    with pytest.raises(ValueError):
-        fac.reconstruct_b(b)
+    with pytest.raises(ValueError, match="basis has 10"):
+        gcur_deterministic(a[:20, :10], b, 11)
+
+
+def test_gcur_error_rejects_zero_a():
+    a = np.zeros((20, 10))
+    fac = gcur_deterministic(np.random.default_rng(10).standard_normal((20, 10)),
+                             np.eye(10), 3)
+    with pytest.raises(ValueError, match="zero norm"):
+        gcur_error(a, fac)
 
 
 def test_randomized_runs_reproducible():

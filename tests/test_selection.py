@@ -10,8 +10,7 @@ from rcur.selection import (
     deim_growth_bound,
     deim_select,
     ldeim_select,
-    leverage_scores,
-    leverage_select,
+    select_indices,
 )
 
 
@@ -140,28 +139,29 @@ def test_ldeim_rejects_bad_ranks():
         ldeim_select(v, 11)  # more indices than rows
 
 
-def test_leverage_scores_sum_to_rank():
-    v = random_basis(3, 25, 5)
-    assert np.isclose(leverage_scores(v).sum(), 5.0)
-
-
-def test_leverage_scores_warn_when_not_orthonormal():
-    with pytest.warns(UserWarning):
-        leverage_scores(2.0 * random_basis(4, 10, 3))
-
-
-def test_leverage_select_orders_by_score():
-    v = random_basis(5, 20, 4)
-    idx = leverage_select(v, 3).indices
-    scores = leverage_scores(v)
-    assert np.all(np.sort(scores[idx])[::-1] >= np.sort(np.delete(scores, idx))[::-1][:3])
-
-
 def test_methods_recorded():
     v = random_basis(6, 12, 3)
     assert deim_select(v).method is Method.DEIM
     assert ldeim_select(v, 5).method is Method.LDEIM
-    assert leverage_select(v, 2).method is Method.LEVERAGE
+
+
+def test_select_indices_reads_leading_columns():
+    v = random_basis(8, 20, 6)
+    assert np.array_equal(select_indices(v, 4), deim_select(v[:, :4]).indices)
+    assert np.array_equal(select_indices(v, 6, Method.LDEIM),
+                          ldeim_select(v[:, :3], 6).indices)
+    assert np.array_equal(select_indices(v, 8, Method.LDEIM, khat=5),
+                          ldeim_select(v[:, :5], 8).indices)
+
+
+def test_select_indices_rejects_rank_above_basis_width():
+    v = random_basis(9, 20, 4)
+    with pytest.raises(ValueError, match="basis has 4"):
+        select_indices(v, 5)
+    with pytest.raises(ValueError, match="basis has 4"):
+        select_indices(v, 10, Method.LDEIM, khat=5)
+    # L-DEIM reads only khat columns, so k may exceed the basis width
+    assert len(select_indices(v, 10, Method.LDEIM, khat=4)) == 10
 
 
 def test_growth_bound_value():

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from rcur.linalg import DimensionError
+from rcur.linalg import DimensionError, relative_error
 from rcur.synth import (
     bfg_perturb,
     example_weights,
-    relative_error,
     sparse_lowrank,
     subgroup_data,
     toeplitz_noise,
