@@ -6,8 +6,8 @@ index vector p and per-matrix row index vectors:
     A ~= A(:, p) M_A A(s_A, :),    B ~= B(:, p) M_B B(s_B, :).
 
 Indices come from DEIM or L-DEIM applied to the (possibly sketched) GSVD
-factors; middle matrices are two least-squares solves, never an explicit
-pseudoinverse.
+factors; middle matrices come from thin QRs of C and R^T and two k-by-k
+solves, never an explicit pseudoinverse.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import numpy as np
 
 from .linalg import (
     RankDeficiencyError,
+    as_index_list,
     as_matrix,
     relative_error,
     select_columns,
@@ -76,22 +77,37 @@ class GcurBound:
     p: int
 
 
+def _full_rank_qr(x, what):
+    """Thin QR of ``x``, refused unless its k columns are numerically independent.
+
+    The rank test is lstsq's: the count of |R_ii| above
+    eps * max(x.shape) * max|R_ii|.
+    """
+    q, r = np.linalg.qr(x)
+    diag = np.abs(np.diag(r))
+    tol = np.finfo(float).eps * max(x.shape) * diag.max(initial=0.0)
+    rank = int(np.count_nonzero(diag > tol))
+    if rank < x.shape[1]:
+        raise RankDeficiencyError(
+            f"selected {what} have numerical rank {rank} < k={x.shape[1]} "
+            f"(tol {tol:.1e})"
+        )
+    return q, r
+
+
 def middle_matrix(m, p, s):
-    """Middle factor C^+ M R^+ for C = M(:, p), R = M(s, :), via least squares."""
+    """Middle factor C^+ M R^+ for C = M(:, p), R = M(s, :).
+
+    With C = Q_C R_C and R^T = Q_R R_R this is R_C^{-1} (Q_C^T M Q_R) R_R^{-T}:
+    two thin QRs, one product with M and two k-by-k solves.
+    """
     m = as_matrix(m)
-    c = select_columns(m, p)
-    r = select_rows(m, s)
-    t, _, rank_c, _ = np.linalg.lstsq(c, m, rcond=None)
-    if rank_c < c.shape[1]:
-        raise RankDeficiencyError(
-            f"selected columns are rank deficient ({rank_c} < {c.shape[1]})"
-        )
-    mid_t, _, rank_r, _ = np.linalg.lstsq(r.T, t.T, rcond=None)
-    if rank_r < r.shape[0]:
-        raise RankDeficiencyError(
-            f"selected rows are rank deficient ({rank_r} < {r.shape[0]})"
-        )
-    return mid_t.T
+    p = as_index_list(p, m.shape[1], "column indices")
+    s = as_index_list(s, m.shape[0], "row indices")
+    q_c, r_c = _full_rank_qr(m[:, p], "columns")
+    q_r, r_r = _full_rank_qr(m[s].T, "rows")
+    core = (q_c.T @ m) @ q_r
+    return np.linalg.solve(r_r, np.linalg.solve(r_c, core).T).T
 
 
 def gcur_from_factors(a, b, factors: GsvdFactors, k, method=Method.DEIM,

@@ -5,9 +5,12 @@ The pair (A, B) with A m-by-n, B d-by-n is factored as
     A = U diag(gamma) Y^T,    B = V diag(beta) Y^T,
 
 with U, V orthonormal columns, Y n-by-n nonsingular, gamma_i^2 + beta_i^2 = 1
-and gamma_i / beta_i non-increasing.  The kernel route is a thin QR of the
-stacked matrix [B; A] followed by an SVD of the A-block of the orthonormal
-factor (a CS-decomposition step), which costs O((m+d) n^2).
+and gamma_i / beta_i non-increasing.  The kernel route is a Householder QR
+of the stacked matrix [B; A] = QR followed by an SVD of the A-block of Q (a
+CS-decomposition step), which costs O((m+d) n^2).  Q stays implicit in
+compact-WY form (``linalg.qr_stacked``): only the A-block Q_A and the
+B-side product Q_B Z are formed, one gemm each, never the explicit
+(m+d)-by-n Q.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from .linalg import (
     RankDeficiencyError,
     as_matrix,
     complete_orthonormal,
-    qr_thin,
+    qr_stacked,
 )
 from .selection import Method
 from .sketch import SketchConfig, range_finder
@@ -62,6 +65,10 @@ def _cs_gsvd(a, b, require_full_rank=True):
     Returns factors where the a-side values (gamma) are non-increasing.  The
     a-side orthonormal factor has min(rows(a), n) columns; both inputs are
     reproduced exactly up to roundoff.
+
+    Route: [B; A] = QR with Q implicit (``qr_stacked``); the SVD
+    Q_A = W diag(gamma) Z^T of the formed A-block gives U = W and Y = R^T Z;
+    the formed product Q_B Z = V diag(beta) gives V and beta.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
@@ -72,22 +79,20 @@ def _cs_gsvd(a, b, require_full_rank=True):
         )
     if a.shape[0] + b.shape[0] < n:
         raise DimensionError("stacked pair has fewer rows than columns")
-    stacked = np.vstack([b, a])
-    q, r = qr_thin(stacked)
+    d, ra = b.shape[0], a.shape[0]
+    q, r = qr_stacked([b, a])
     if require_full_rank:
         diag = np.abs(np.diag(r))
         scale = max(diag.max(), 1.0)
         if diag.min() <= n * np.finfo(float).eps * scale:
             raise RankDeficiencyError("stacked pair [B; A] is rank deficient")
-    qb, qa = q[: b.shape[0]], q[b.shape[0] :]
-    ra = qa.shape[0]
     # the full left factor is never needed; the right factor must stay n-by-n
-    w, s, zt = np.linalg.svd(qa, full_matrices=ra < n)
+    w, s, zt = np.linalg.svd(q.rows(d, d + ra), full_matrices=ra < n)
     z = zt.T
     gamma = np.zeros(n)
     gamma[: min(ra, n)] = np.clip(s, 0.0, 1.0)
 
-    vb = qb @ z
+    vb = q.rows(0, d, z)
     beta = np.linalg.norm(vb, axis=0)
     small = beta < BETA_ZERO_TOL
     v = np.empty_like(vb)

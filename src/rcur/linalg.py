@@ -3,8 +3,14 @@
 All matrices are real, dense, row-major ``numpy`` arrays of float64.  The
 functions here are deterministic and pure; randomness only enters through
 the sketching layer.
+
+Every kernel calls NumPy's LAPACK and BLAS, never SciPy's: the two packages
+may each bundle their own OpenBLAS build, and when both are loaded their
+thread pools contend for the same cores and slow each other down.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,8 +20,9 @@ __all__ = [
     "as_matrix",
     "as_index_list",
     "qr_thin",
+    "ImplicitQ",
+    "qr_stacked",
     "svd_thin",
-    "lstsq_solve",
     "two_norm",
     "relative_error",
     "select_columns",
@@ -65,23 +72,66 @@ def qr_thin(a):
     return q, r
 
 
+@dataclass(frozen=True)
+class ImplicitQ:
+    """Thin Q factor of a Householder QR, kept in compact-WY form.
+
+    Q = (I - V T V^T)[:, :n] (Schreiber & Van Loan, 1989), with V the m-by-n
+    unit lower-trapezoidal reflectors and T the n-by-n upper-triangular
+    factor.  ``w`` holds T V[:n]^T, so a row block of Q, or its product with
+    an n-column matrix, costs one gemm against the matching rows of V.
+    """
+
+    v: np.ndarray
+    w: np.ndarray
+
+    def rows(self, lo, hi, z=None):
+        """Q[lo:hi], or Q[lo:hi] @ z when ``z`` (n rows) is given."""
+        n = self.v.shape[1]
+        top = min(hi, n)  # rows of the identity block I[:, :n] in range
+        if z is None:
+            out = -(self.v[lo:hi] @ self.w)
+            k = np.arange(lo, top)
+            out[k - lo, k] += 1.0
+        else:
+            out = -(self.v[lo:hi] @ (self.w @ z))
+            out[: max(top - lo, 0)] += z[lo:top]
+        return out
+
+
+def qr_stacked(blocks):
+    """Householder QR of the row stack of ``blocks``, with Q left implicit.
+
+    Returns (q, r): ``q`` an :class:`ImplicitQ` and ``r`` the n-by-n upper
+    triangular factor, bitwise equal to ``np.linalg.qr``'s (both run the
+    same geqrf).  The stack is freed once factored, and the reflectors are
+    turned into V in the factored buffer itself.  T comes from V^T V by the
+    column-by-column recursion of LAPACK's dlarft, which also covers
+    tau = 0 (a reflector that is the identity).  Requires rows >= cols.
+    """
+    x = as_matrix(np.vstack(blocks))
+    m, n = x.shape
+    if m < n:
+        raise DimensionError(f"qr_stacked needs rows >= cols, got {m}x{n}")
+    h, tau = np.linalg.qr(x, mode="raw")
+    del x
+    v = h.T  # m-by-n view of the factored buffer
+    r = np.triu(v[:n])
+    v[:n] = np.tril(v[:n], -1)
+    v[:n].flat[:: n + 1] = 1.0
+    g = v.T @ v
+    t = np.zeros((n, n))
+    for i in range(n):
+        t[i, i] = tau[i]
+        t[:i, i] = -tau[i] * (t[:i, :i] @ g[:i, i])
+    return ImplicitQ(v=v, w=t @ v[:n].T), r
+
+
 def svd_thin(a):
     """Thin SVD: returns (U, s, V) with A = U @ diag(s) @ V.T, s non-increasing."""
     a = as_matrix(a)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     return u, s, vt.T
-
-
-def lstsq_solve(a, b):
-    """Minimum-norm least-squares solution X of A X ~= B."""
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionError(
-            f"lstsq_solve: A has {a.shape[0]} rows but B has {b.shape[0]}"
-        )
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    return x
 
 
 def two_norm(a):

@@ -34,8 +34,27 @@ def test_middle_matrix_reproduces_exact_rank():
 def test_middle_matrix_rank_deficient_columns():
     a = np.zeros((6, 4))
     a[:, 0] = 1.0
-    with pytest.raises(RankDeficiencyError):
+    with pytest.raises(RankDeficiencyError, match="columns have numerical rank 1 < k=2"):
         middle_matrix(a, [0, 1], [0, 1])
+
+
+def test_middle_matrix_rank_deficient_rows():
+    a = lowrank(3, 8, 6, 3)
+    a[5] = 2.0 * a[1]
+    with pytest.raises(RankDeficiencyError,
+                       match=r"rows have numerical rank 1 < k=2 \(tol \S+\)"):
+        middle_matrix(a, [0, 1], [1, 5])
+
+
+@pytest.mark.parametrize("k", [10, 100])
+def test_middle_matrix_matches_pinv_oracle(k):
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((2000, 300))
+    p = rng.choice(300, k, replace=False)
+    s = rng.choice(2000, k, replace=False)
+    oracle = np.linalg.pinv(a[:, p]) @ a @ np.linalg.pinv(a[s, :])
+    m = middle_matrix(a, p, s)
+    assert np.linalg.norm(m - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 def test_rank_one_closed_form():

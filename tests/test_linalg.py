@@ -1,12 +1,17 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rcur
+from rcur.gsvd import _cs_gsvd
 from rcur.linalg import (
     DimensionError,
     as_index_list,
     as_matrix,
     complete_orthonormal,
-    lstsq_solve,
+    qr_stacked,
     qr_thin,
     select_columns,
     select_rows,
@@ -48,25 +53,69 @@ def test_qr_thin_reconstructs():
         qr_thin(a.T)
 
 
+def conditioned(rng, m, n, cond):
+    """m-by-n matrix with singular values spaced geometrically from 1 to 1/cond."""
+    u, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.T
+
+
+def check_against_explicit_q(b, a):
+    """qr_stacked against np.linalg.qr of the explicit stack [B; A]."""
+    d, n = b.shape
+    q_ref, r_ref = np.linalg.qr(np.vstack([b, a]))
+    q, r = qr_stacked([b, a])
+    assert np.array_equal(r, r_ref)
+    # the two products the GSVD kernel forms: the A-block and Q_B Z
+    qa = q.rows(d, d + a.shape[0])
+    assert np.abs(qa - q_ref[d:]).max() <= 1e-13
+    _, _, zt = np.linalg.svd(qa, full_matrices=a.shape[0] < n)
+    assert np.abs(q.rows(0, d, zt.T) - q_ref[:d] @ zt.T).max() <= 1e-13
+    # and the GSVD factors built from them stay orthonormal
+    f = _cs_gsvd(a, b, require_full_rank=False)
+    v = f.v[:, ~f.small_beta]
+    assert np.abs(f.u.T @ f.u - np.eye(f.u.shape[1])).max() <= 1e-13
+    assert np.abs(v.T @ v - np.eye(v.shape[1])).max() <= 1e-13
+
+
+@pytest.mark.parametrize("cond", [1e4, 1e8, 1e11])
+def test_qr_stacked_matches_explicit_q(cond):
+    rng = np.random.default_rng(5)
+    x = conditioned(rng, 5500, 120, cond)
+    check_against_explicit_q(x[:2500], x[2500:])
+
+
+def test_qr_stacked_short_top_block_and_sketched_a():
+    rng = np.random.default_rng(6)
+    # B with fewer rows than columns: Q_B Z keeps rows of the identity block
+    check_against_explicit_q(rng.standard_normal((40, 120)),
+                             rng.standard_normal((3000, 120)))
+    # a sketched A (Q^T A) has fewer rows than columns
+    check_against_explicit_q(rng.standard_normal((3000, 120)),
+                             rng.standard_normal((25, 120)))
+
+
+def test_qr_stacked_identity_reflector():
+    # a column already in R form gives tau = 0, a reflector that is I
+    x = np.vstack([np.eye(3), np.ones((4, 3))])
+    x[:, 0] = 0.0
+    x[0, 0] = 2.0
+    _, tau = np.linalg.qr(x, mode="raw")
+    assert tau[0] == 0.0
+    q_ref, r_ref = np.linalg.qr(x)
+    q, r = qr_stacked([x[:2], x[2:]])
+    assert np.array_equal(r, r_ref)
+    assert np.allclose(q.rows(0, 7), q_ref, atol=1e-14)
+    with pytest.raises(DimensionError):
+        qr_stacked([np.ones((1, 3)), np.ones((1, 3))])
+
+
 def test_svd_thin_reconstructs():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((8, 11))
     u, s, v = svd_thin(a)
     assert np.allclose(u @ np.diag(s) @ v.T, a)
     assert np.all(np.diff(s) <= 0)
-
-
-def test_lstsq_solve_overdetermined():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((20, 4))
-    x_true = rng.standard_normal((4, 3))
-    x = lstsq_solve(a, a @ x_true)
-    assert np.allclose(x, x_true)
-
-
-def test_lstsq_solve_shape_mismatch():
-    with pytest.raises(DimensionError):
-        lstsq_solve(np.eye(3), np.eye(4))
 
 
 def test_two_norm_matches_numpy():
@@ -96,3 +145,17 @@ def test_complete_orthonormal_keeps_leading_block():
     assert full.shape == (9, 9)
     assert np.allclose(full[:, :4], q)
     assert np.allclose(full.T @ full, np.eye(9), atol=1e-12)
+
+
+@pytest.mark.parametrize("module", ["linalg", "gsvd", "gcur", "cur", "selection",
+                                    "sketch", "rsvd", "rsvd_cur"])
+def test_kernel_modules_import_no_scipy(module):
+    # NumPy and SciPy may each bundle their own OpenBLAS; a kernel that calls
+    # into SciPy's makes the two thread pools contend for the same cores.
+    # Only io and synth (file formats, generators) may import SciPy.
+    tree = ast.parse((Path(rcur.__file__).parent / f"{module}.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module]
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
