@@ -8,6 +8,10 @@ Library surface:
 * :mod:`rcur.rsvd_cur` — CUR of a triplet driven by restricted-SVD factors,
 * :mod:`rcur.selection` — DEIM and L-DEIM index selection,
 * :mod:`rcur.synth` / :mod:`rcur.bench` — seeded generators and experiments.
+
+The functions ``gsvd`` and ``rsvd_cur`` share their modules' names, so they
+are not re-exported here: ``rcur.gsvd`` and ``rcur.rsvd_cur`` are the
+modules, and ``from rcur.gsvd import gsvd`` gives the function.
 """
 from .cur import CurFactors, deim_cur
 from .gcur import (
@@ -22,14 +26,13 @@ from .gcur import (
     r_ldeim_gcur,
     sketch_tail_bound,
 )
-from .gsvd import GsvdFactors, gsvd, randomized_gsvd
+from .gsvd import GsvdFactors, randomized_gsvd
 from .linalg import DimensionError, RankDeficiencyError, relative_error
 from .rsvd import RsvdFactors, randomized_rsvd, rsvd_deterministic
 from .rsvd_cur import (
     RsvdCurBound,
     RsvdCurFactors,
     r_ldeim_rsvd_cur,
-    rsvd_cur,
     rsvd_cur_from_factors,
     rsvdcur_bound,
 )
@@ -71,7 +74,6 @@ __all__ = [
     "gcur_deterministic",
     "gcur_error",
     "gcur_from_factors",
-    "gsvd",
     "ldeim_select",
     "middle_matrix",
     "r_deim_gcur",
@@ -81,7 +83,6 @@ __all__ = [
     "randomized_rsvd",
     "range_finder",
     "relative_error",
-    "rsvd_cur",
     "rsvd_cur_from_factors",
     "rsvd_deterministic",
     "rsvdcur_bound",

@@ -69,9 +69,10 @@ def _cs_gsvd(a, b, require_full_rank=True):
     Route: [B; A] = QR with Q implicit (``qr_stacked``); the SVD
     Q_A = W diag(gamma) Z^T of the formed A-block gives U = W and Y = R^T Z;
     the formed product Q_B Z = V diag(beta) gives V and beta.
+
+    Both inputs must be 2-d float arrays with finite entries: every caller
+    has validated or computed them, so they are not scanned again here.
     """
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
     n = a.shape[1]
     if b.shape[1] != n:
         raise DimensionError(

@@ -43,26 +43,42 @@ class SelectionResult:
         object.__setattr__(self, "indices", ind)
 
 
+def _pivot_floor(v):
+    """Per column, the largest |pivot| that is roundoff: max(m, k) eps ||v_j||.
+
+    A pivot at or below it means the column lies in the span of the earlier
+    ones to working precision, and its interpolation amplification is
+    unbounded.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->j", v, v))
+    return max(v.shape) * np.finfo(float).eps * norms
+
+
 def deim_select(v):
     """Greedy DEIM pivoting over the columns of ``v`` (m-by-k, k <= m).
 
     Each step picks the largest-magnitude entry of the residual of the next
     column after interpolatory projection onto the already-pivoted columns.
+    A pivot at roundoff level relative to its column (``_pivot_floor``) is
+    refused as rank deficient.
     """
-    v = as_matrix(v, "basis")
+    # copying a leading-column view once pays for itself in the steps'
+    # strided products, and the pivot floor then reads contiguous rows
+    v = np.ascontiguousarray(as_matrix(v, "basis"))
     m, k = v.shape
     if k > m:
         raise ValueError(f"deim_select needs cols <= rows, got {m}x{k}")
+    floor = _pivot_floor(v)
     p = np.empty(k, dtype=np.intp)
     p[0] = int(np.argmax(np.abs(v[:, 0])))
-    if v[p[0], 0] == 0.0:
+    if abs(v[p[0], 0]) <= floor[0]:
         raise RankDeficiencyError("first basis column is identically zero")
     for j in range(1, k):
         col = v[:, j]
         c = np.linalg.solve(v[p[:j]][:, :j], col[p[:j]])
         r = col - v[:, :j] @ c
         p[j] = int(np.argmax(np.abs(r)))
-        if r[p[j]] == 0.0:
+        if abs(r[p[j]]) <= floor[j]:
             raise RankDeficiencyError(
                 f"zero pivot residual at step {j}: basis is rank deficient"
             )
@@ -74,7 +90,9 @@ def ldeim_select(v, k):
 
     The first khat indices come from DEIM with in-place deflation of the
     next column only; the remaining k - khat are the largest squared row
-    norms of the deflated basis, excluding already-chosen rows.
+    norms of the deflated basis, excluding already-chosen rows.  A pivot at
+    roundoff level relative to its undeflated column is refused as in
+    :func:`deim_select`.
     """
     v = as_matrix(v, "basis").copy()
     m, khat = v.shape
@@ -82,10 +100,11 @@ def ldeim_select(v, k):
         raise ValueError(f"basis has {khat} columns but target rank is {k}")
     if k > m:
         raise ValueError(f"cannot select {k} indices from {m} rows")
+    floor = _pivot_floor(v)
     p = np.empty(khat, dtype=np.intp)
     for j in range(khat):
         p[j] = int(np.argmax(np.abs(v[:, j])))
-        if v[p[j], j] == 0.0:
+        if abs(v[p[j], j]) <= floor[j]:
             raise RankDeficiencyError(f"zero pivot at L-DEIM step {j}")
         if j + 1 < khat:
             c = np.linalg.solve(v[p[: j + 1]][:, : j + 1], v[p[: j + 1], j + 1])

@@ -46,15 +46,52 @@ def test_middle_matrix_rank_deficient_rows():
         middle_matrix(a, [0, 1], [1, 5])
 
 
-@pytest.mark.parametrize("k", [10, 100])
-def test_middle_matrix_matches_pinv_oracle(k):
+def middle_matrix_input(k, kappa=None):
+    """2000x300 Gaussian M with random p, s; C = M(:, p) gets cond ``kappa``."""
     rng = np.random.default_rng(k)
     a = rng.standard_normal((2000, 300))
     p = rng.choice(300, k, replace=False)
     s = rng.choice(2000, k, replace=False)
+    if kappa is not None:
+        u, _ = np.linalg.qr(rng.standard_normal((2000, k)))
+        v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        a[:, p] = (u * np.geomspace(40.0, 40.0 / kappa, k)) @ v.T
+    return a, p, s
+
+
+# kappa 1e6 takes the CholeskyQR2 route and kappa 1e10 the Householder one.
+# pinv starts from the same Householder QR as the latter, so against it the
+# CholeskyQR2 route is held to the forward-error scale kappa * eps; against
+# an 80-bit reference both routes err by about 1e-11 at kappa 1e6.
+@pytest.mark.parametrize("k, kappa, tol", [
+    pytest.param(10, None, 1e-12, id="10"),
+    pytest.param(100, None, 1e-12, id="100"),
+    pytest.param(50, 1e6, 1e6 * np.finfo(float).eps, id="kappa1e6"),
+    pytest.param(50, 1e10, 1e-12, id="kappa1e10"),
+])
+def test_middle_matrix_matches_pinv_oracle(k, kappa, tol):
+    a, p, s = middle_matrix_input(k, kappa)
+    if kappa is not None:
+        assert np.linalg.cond(a[:, p]) == pytest.approx(kappa, rel=0.01)
     oracle = np.linalg.pinv(a[:, p]) @ a @ np.linalg.pinv(a[s, :])
     m = middle_matrix(a, p, s)
-    assert np.linalg.norm(m - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    assert np.linalg.norm(m - oracle) <= tol * np.linalg.norm(oracle)
+
+
+def test_middle_matrix_householder_only_when_ill_conditioned(monkeypatch):
+    well, ill = middle_matrix_input(50), middle_matrix_input(50, 1e10)
+    shapes = []
+    qr = np.linalg.qr
+
+    def counting_qr(x, *args, **kwargs):
+        shapes.append(x.shape)
+        return qr(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    middle_matrix(*well)
+    assert shapes == []
+    middle_matrix(*ill)
+    assert shapes == [(2000, 50)]  # only C; R^T stays well conditioned
 
 
 def test_rank_one_closed_form():

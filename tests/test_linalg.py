@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -159,3 +160,13 @@ def test_kernel_modules_import_no_scipy(module):
     imported += [node.module for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module]
     assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize("name", ["gsvd", "rsvd_cur"])
+def test_submodule_import_binds_the_module(name):
+    # "import rcur.gsvd as m" binds the package attribute rcur.gsvd, which a
+    # re-exported function of the same name would shadow
+    module = importlib.import_module(f"rcur.{name}")
+    assert getattr(rcur, name) is module
+    assert callable(getattr(module, name))
+    assert name not in rcur.__all__

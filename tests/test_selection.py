@@ -126,6 +126,20 @@ def test_deim_rejects_zero_column():
         deim_select(np.zeros((4, 1)))
 
 
+@pytest.mark.parametrize("select, message", [
+    (deim_select, "zero pivot residual at step 3"),
+    (lambda v: ldeim_select(v, 4), "zero pivot at L-DEIM step 3"),
+], ids=["deim", "ldeim"])
+def test_pivot_at_roundoff_level_is_rank_deficient(select, message):
+    # the last column is a combination of the others up to 1e-18 noise, so
+    # its pivot residual is roundoff, not zero
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((40, 4))
+    v[:, 3] = v[:, :3] @ [1.0, -2.0, 0.5] + 1e-18 * rng.standard_normal(40)
+    with pytest.raises(RankDeficiencyError, match=message):
+        select(v)
+
+
 def test_deim_rejects_wide_basis():
     with pytest.raises(ValueError):
         deim_select(np.ones((2, 3)))
