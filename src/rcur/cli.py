@@ -61,7 +61,7 @@ def _read(path):
 
 
 def _config(args):
-    """The run's sketch parameters; also owns the default L-DEIM budget."""
+    """The run's sketch parameters; ``SketchConfig`` fills in the default khat."""
     return SketchConfig(args.k, args.oversampling, ldeim_budget=args.khat,
                         seed=args.seed)
 

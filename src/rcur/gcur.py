@@ -191,8 +191,7 @@ def r_deim_gcur(a, b, cfg: SketchConfig):
 
 def r_ldeim_gcur(a, b, cfg: SketchConfig):
     """Randomized L-DEIM GCUR: khat-wide sketch, L-DEIM extends to k indices."""
-    factors, _ = randomized_gsvd(a, b, cfg,
-                                 sketch_width=cfg.width(Method.LDEIM))
+    factors, _ = randomized_gsvd(a, b, cfg, Method.LDEIM)
     return gcur_from_factors(a, b, factors, cfg.target_rank, Method.LDEIM,
                              khat=cfg.ldeim_budget)
 

@@ -22,7 +22,6 @@ from .linalg import (
     DimensionError,
     RankDeficiencyError,
     as_matrix,
-    complete_orthonormal,
     qr_stacked,
 )
 from .selection import Method
@@ -100,15 +99,15 @@ def _cs_gsvd(a, b, require_full_rank=True):
     good = ~small
     v[:, good] = vb[:, good] / beta[good]
     if small.any():
-        # directions absent from B: complete V orthonormally so the factor
-        # stays well formed; beta stays (numerically) zero there.  When B has
-        # fewer rows than columns the complement runs out; the leftover
-        # columns are zeroed (they never enter a reconstruction).
-        basis = complete_orthonormal(v[:, good])
-        avail = basis.shape[1] - int(good.sum())
+        # directions absent from B: fill V there with columns orthonormal to
+        # the good ones, from the Householder QR of those (d-by-n at most,
+        # never the d-by-d completion); beta stays (numerically) zero there.
+        # When B has fewer rows than columns the complement runs out; the
+        # leftover columns are zeroed (they never enter a reconstruction).
         v[:, small] = 0.0
-        fill = np.flatnonzero(small)[:avail]
-        v[:, fill] = basis[:, good.sum() : good.sum() + len(fill)]
+        fill = np.flatnonzero(small)[: max(d - int(good.sum()), 0)]
+        if fill.size:
+            v[:, fill] = qr_stacked([v[:, good]])[0].complement(fill.size)
     y = r.T @ z
     if small.any():
         # beta = 0 pairs all share the saturated a-side value 1, so the SVD
@@ -137,21 +136,16 @@ def gsvd(a, b):
     return _cs_gsvd(a, b)
 
 
-def randomized_gsvd(a, b, cfg: SketchConfig, sketch_width=None):
+def randomized_gsvd(a, b, cfg: SketchConfig, method=Method.DEIM):
     """Randomized GSVD: exact GSVD of (Q Q^T A, B) on a sketched range of A.
 
-    Returns (factors, q) where q is the m-by-width range basis, the width
-    defaulting to ``cfg.width(Method.DEIM)`` = k+p.  The U factor has that
-    many columns; B is factored exactly, A only through its projection onto
-    range(q).
+    Returns (factors, q) where q is the m-by-width range basis of A, its
+    width ``cfg.width(method)``: k + p for DEIM, khat + p for L-DEIM.  The
+    U factor has that many columns; B is factored exactly, A only through
+    its projection onto range(q).
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
-    width = cfg.width(Method.DEIM) if sketch_width is None else sketch_width
-    if width > a.shape[1]:
-        raise DimensionError(
-            f"sketch width {width} exceeds column count {a.shape[1]}"
-        )
-    q = range_finder(a, width, cfg.seed)
+    q = range_finder(a, cfg.width(method), cfg.seed)
     factors = _cs_gsvd(q.T @ a, b)
     return replace(factors, u=q @ factors.u), q

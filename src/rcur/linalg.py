@@ -4,6 +4,12 @@ All matrices are real, dense, row-major ``numpy`` arrays of float64.  The
 functions here are deterministic and pure; randomness only enters through
 the sketching layer.
 
+A matrix is validated once, by ``as_matrix``, where it enters the library:
+in the public function that receives it from the caller.  The kernels
+``qr_thin``, ``qr_stacked``, ``svd_thin``, ``two_norm`` and
+``complete_orthonormal`` take only arrays their callers validated or
+computed, so they check shapes but do not scan the entries again.
+
 Every kernel calls NumPy's LAPACK and BLAS, never SciPy's: the two packages
 may each bundle their own OpenBLAS build, and when both are loaded their
 thread pools contend for the same cores and slow each other down.
@@ -64,7 +70,6 @@ def qr_thin(a):
 
     Requires rows >= cols.
     """
-    a = as_matrix(a)
     m, n = a.shape
     if m < n:
         raise DimensionError(f"qr_thin needs rows >= cols, got {m}x{n}")
@@ -74,15 +79,17 @@ def qr_thin(a):
 
 @dataclass(frozen=True)
 class ImplicitQ:
-    """Thin Q factor of a Householder QR, kept in compact-WY form.
+    """Q factor of a Householder QR, kept in compact-WY form.
 
-    Q = (I - V T V^T)[:, :n] (Schreiber & Van Loan, 1989), with V the m-by-n
-    unit lower-trapezoidal reflectors and T the n-by-n upper-triangular
-    factor.  ``w`` holds T V[:n]^T, so a row block of Q, or its product with
-    an n-column matrix, costs one gemm against the matching rows of V.
+    Q = I - V T V^T (Schreiber & Van Loan, 1989), with V the m-by-n unit
+    lower-trapezoidal reflectors and T the n-by-n upper-triangular factor;
+    the thin factor is Q[:, :n].  ``w`` holds T V[:n]^T, so a row block of
+    the thin factor, or its product with an n-column matrix, costs one gemm
+    against the matching rows of V.
     """
 
     v: np.ndarray
+    t: np.ndarray
     w: np.ndarray
 
     def rows(self, lo, hi, z=None):
@@ -98,6 +105,13 @@ class ImplicitQ:
             out[: max(top - lo, 0)] += z[lo:top]
         return out
 
+    def complement(self, c):
+        """Q[:, n:n+c]: ``c`` orthonormal columns orthogonal to the thin factor."""
+        n = self.v.shape[1]
+        out = -(self.v @ (self.t @ self.v[n:n + c].T))
+        out[n:n + c] += np.eye(c)
+        return out
+
 
 def qr_stacked(blocks):
     """Householder QR of the row stack of ``blocks``, with Q left implicit.
@@ -109,7 +123,7 @@ def qr_stacked(blocks):
     column-by-column recursion of LAPACK's dlarft, which also covers
     tau = 0 (a reflector that is the identity).  Requires rows >= cols.
     """
-    x = as_matrix(np.vstack(blocks))
+    x = np.vstack(blocks)
     m, n = x.shape
     if m < n:
         raise DimensionError(f"qr_stacked needs rows >= cols, got {m}x{n}")
@@ -124,20 +138,18 @@ def qr_stacked(blocks):
     for i in range(n):
         t[i, i] = tau[i]
         t[:i, i] = -tau[i] * (t[:i, :i] @ g[:i, i])
-    return ImplicitQ(v=v, w=t @ v[:n].T), r
+    return ImplicitQ(v=v, t=t, w=t @ v[:n].T), r
 
 
 def svd_thin(a):
     """Thin SVD: returns (U, s, V) with A = U @ diag(s) @ V.T, s non-increasing."""
-    a = as_matrix(a)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     return u, s, vt.T
 
 
 def two_norm(a):
     """Spectral norm (largest singular value)."""
-    a = as_matrix(a)
-    if a.size == 0 or not a.any():
+    if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
 
@@ -157,15 +169,13 @@ def relative_error(a, ahat):
 def select_columns(a, idx):
     """Copy of the columns of ``a`` addressed by ``idx``, in ``idx`` order."""
     a = as_matrix(a)
-    ind = as_index_list(idx, a.shape[1], "column indices")
-    return a[:, ind].copy()
+    return a[:, as_index_list(idx, a.shape[1], "column indices")]
 
 
 def select_rows(a, idx):
     """Copy of the rows of ``a`` addressed by ``idx``, in ``idx`` order."""
     a = as_matrix(a)
-    ind = as_index_list(idx, a.shape[0], "row indices")
-    return a[ind, :].copy()
+    return a[as_index_list(idx, a.shape[0], "row indices")]
 
 
 def complete_orthonormal(q):
@@ -174,7 +184,6 @@ def complete_orthonormal(q):
     The first n columns of the result equal ``q`` exactly; the remaining
     columns are a deterministic orthonormal basis of the complement.
     """
-    q = as_matrix(q)
     m, n = q.shape
     if m == n:
         return q

@@ -145,13 +145,13 @@ def rsvd_deterministic(a, b, g, full_factors=True):
     return factors
 
 
-def randomized_rsvd(a, b, g, cfg: SketchConfig, sketch_width=None):
+def randomized_rsvd(a, b, g, cfg: SketchConfig, method=Method.DEIM):
     """Randomized RSVD: both inner GSVDs act on sketched projections.
 
     The first sketch is full width n (so Sigma_1 stays square); the second
-    sketches B^T U_1 down to ``sketch_width`` columns (default
-    ``cfg.width(Method.DEIM)`` = k + p, clamped to at least m - n so the
-    reduced pair stays well posed, and to at most l).
+    sketches B^T U_1 down to ``cfg.width(method)`` columns (k + p for DEIM,
+    khat + p for L-DEIM), clamped to at least m - n + 1 so the reduced pair
+    stays well posed, and to at most l.
     """
     a, b, g = _check_triplet(a, b, g)
     m, n = a.shape
@@ -164,8 +164,7 @@ def randomized_rsvd(a, b, g, cfg: SketchConfig, sketch_width=None):
     f1 = replace(f1, u=h1 @ f1.u)
     u1_full = complete_orthonormal(f1.v)
 
-    width = cfg.width(Method.DEIM) if sketch_width is None else sketch_width
-    width = min(max(width, m - n + 1, 1), ell)
+    width = min(max(cfg.width(method), m - n + 1), ell)
     x = _sigma_inv_gamma_t(f1, m)
     bt_u1 = b.T @ u1_full
     omega2 = gaussian_matrix(m, width, seed2)

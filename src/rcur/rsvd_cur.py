@@ -98,8 +98,7 @@ def rsvd_cur(a, b, g, k, method=Method.DEIM, khat=None):
 
 def r_ldeim_rsvd_cur(a, b, g, cfg: SketchConfig):
     """Randomized L-DEIM RSVD-CUR: khat-wide second sketch, k indices."""
-    factors = randomized_rsvd(a, b, g, cfg,
-                              sketch_width=cfg.width(Method.LDEIM))
+    factors = randomized_rsvd(a, b, g, cfg, Method.LDEIM)
     return rsvd_cur_from_factors(a, b, g, factors, cfg.target_rank,
                                  Method.LDEIM, khat=cfg.ldeim_budget)
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, qr_thin
+from .linalg import DimensionError, as_matrix, qr_thin
 from .selection import Method, default_khat, leading_columns
 
 __all__ = ["SketchConfig", "gaussian_matrix", "range_finder", "split_seed"]
@@ -66,7 +66,7 @@ def range_finder(a, width, seed):
     a = as_matrix(a)
     m, n = a.shape
     if width > min(m, n):
-        raise ValueError(f"sketch width {width} exceeds min{a.shape}")
+        raise DimensionError(f"sketch width {width} exceeds min{a.shape}")
     omega = gaussian_matrix(n, width, seed)
     q, _ = qr_thin(a @ omega)
     return q

@@ -90,36 +90,30 @@ def bfg_perturb(a, ell, d, epsilon, seed=0):
     return a_e, b, g
 
 
-# per-(subgroup, column-block) normal parameters of the four-subgroup target;
-# transcribed from the reference figure, overridable per call
-DEFAULT_SUBGROUP_MEANS = np.array(
+# per-(subgroup, column-block) normal parameters of the four-subgroup target,
+# transcribed from the reference figure
+SUBGROUP_MEANS = np.array(
     [[0.0, 0.0, 0.0], [0.0, 0.0, 3.0], [0.0, 3.0, 0.0], [0.0, 3.0, 3.0]]
 )
-DEFAULT_SUBGROUP_VARIANCES = np.array(
-    [[100.0, 1.0, 1.0]] * 4
-)
+SUBGROUP_VARIANCES = np.array([[100.0, 1.0, 1.0]] * 4)
 BACKGROUND_VARIANCES = np.array([100.0, 9.0, 1.0])
 
 
-def subgroup_data(m, d, seed=0, means=None, variances=None):
+def subgroup_data(m, d, seed=0):
     """Four-subgroup target matrix (4m-by-3d) and zero-mean background (m-by-3d).
 
     The target stacks four m-row subgroups; each has its own per-column-block
-    normal mean/variance.  Background block variances are (100, 9, 1) with
-    zero means.
+    normal mean/variance (``SUBGROUP_MEANS``, ``SUBGROUP_VARIANCES``).
+    Background block variances are (100, 9, 1) with zero means.
     """
     if m < 1 or d < 1:
         raise ValueError("m, d must be >= 1")
-    means = DEFAULT_SUBGROUP_MEANS if means is None else np.asarray(means, float)
-    variances = (
-        DEFAULT_SUBGROUP_VARIANCES if variances is None
-        else np.asarray(variances, float)
-    )
     rng = np.random.Generator(np.random.Philox(seed))
     blocks = []
     for grp in range(4):
         row = [
-            means[grp, j] + np.sqrt(variances[grp, j]) * rng.standard_normal((m, d))
+            SUBGROUP_MEANS[grp, j]
+            + np.sqrt(SUBGROUP_VARIANCES[grp, j]) * rng.standard_normal((m, d))
             for j in range(3)
         ]
         blocks.append(np.hstack(row))

@@ -188,7 +188,7 @@ def test_criterion_7_probabilistic_bounds():
         b3 = rng.standard_normal((30, 50))
         g3 = rng.standard_normal((40, 30))
         cfg = SketchConfig(k, p, ldeim_budget=k, seed=seed)
-        factors = randomized_rsvd(a3, b3, g3, cfg, sketch_width=k + p)
+        factors = randomized_rsvd(a3, b3, g3, cfg)
         rb = rsvdcur_bound(a3, b3, g3, factors, k, k, p)
         fac3 = r_ldeim_rsvd_cur(a3, b3, g3, cfg)
         good &= np.linalg.norm(b3 - fac3.reconstruct_b(b3), 2) <= rb.bound_b

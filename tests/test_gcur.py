@@ -169,7 +169,7 @@ def test_randomized_runs_reproducible():
     assert len(f3.p) == 5
 
 
-def test_ldeim_sketch_width_is_budget_plus_oversampling():
+def test_ldeim_sketch_is_budget_plus_oversampling_wide():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((40, 12))
     b = rng.standard_normal((20, 12))

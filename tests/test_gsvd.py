@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcur.linalg import DimensionError, RankDeficiencyError
-from rcur.gsvd import gsvd, randomized_gsvd
+from rcur.gsvd import _cs_gsvd, gsvd, randomized_gsvd
 from rcur.sketch import SketchConfig
 
 
@@ -115,3 +115,58 @@ def test_low_rank_a_flags_small_betas_only_when_b_deficient():
     a, b = random_pair(10)
     f = gsvd(a, b)
     assert not f.small_beta.any()
+
+
+def _check_filled_columns(f, b):
+    good = ~f.small_beta
+    assert f.small_beta.any()
+    d = b.shape[0]
+    filled = np.flatnonzero(f.small_beta)[: d - good.sum()]
+    vf, vg = f.v[:, filled], f.v[:, good]
+    assert np.allclose(vf.T @ vf, np.eye(len(filled)), atol=1e-12)
+    assert np.abs(vg.T @ vf).max(initial=0.0) <= 1e-12
+    leftover = np.setdiff1d(np.flatnonzero(f.small_beta), filled)
+    assert not f.v[:, leftover].any()
+    assert np.linalg.norm(f.reconstruct_b() - b) <= 1e-9 * max(np.linalg.norm(b), 1.0)
+
+
+def test_small_beta_completion_never_forms_the_square_factor(monkeypatch):
+    # a zero column of a tall B puts one pair outside B's column space; its
+    # V column must come without a d-by-d orthogonal matrix (3.2 GB here)
+    qr = np.linalg.qr
+
+    def guarded_qr(x, mode="reduced"):
+        if mode == "complete" and x.shape[0] > 1000:
+            raise AssertionError(f"complete QR of a {x.shape} matrix")
+        return qr(x, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", guarded_qr)
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((400, 30))
+    b = rng.standard_normal((20000, 30))
+    b[:, 7] = 0.0
+    f = gsvd(a, b)
+    assert f.small_beta.sum() == 1
+    _check_filled_columns(f, b)
+
+
+def test_small_beta_completion_when_b_is_zero():
+    # no good columns at all: V's columns come from the identity's
+    a = np.random.default_rng(22).standard_normal((30, 6))
+    b = np.zeros((10, 6))
+    f = gsvd(a, b)
+    assert f.small_beta.all()
+    _check_filled_columns(f, b)
+
+
+def test_small_beta_completion_runs_out_when_b_is_short():
+    # B of rank 3 (a zero column, a repeated row) leaves 3 small betas, but
+    # its 4 rows have room for one more orthonormal column: two stay zero
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((30, 6))
+    b = rng.standard_normal((4, 6))
+    b[:, 2] = 0.0
+    b[3] = b[0]
+    f = _cs_gsvd(a, b)
+    assert f.small_beta.sum() == 3
+    _check_filled_columns(f, b)

@@ -106,7 +106,7 @@ def test_randomized_reproducible():
 def test_wide_second_sketch_matches_deterministic_b():
     # sketch width covering all of B's row space factors B exactly too
     a, b, g = random_triplet(7, m=15, n=10, d=20, ell=25)
-    f = randomized_rsvd(a, b, g, SketchConfig(5, 5, seed=0), sketch_width=25)
+    f = randomized_rsvd(a, b, g, SketchConfig(5, 20, seed=0))
     assert np.linalg.norm(f.reconstruct_b() - b) <= 1e-8 * np.linalg.norm(b)
 
 

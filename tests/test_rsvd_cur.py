@@ -89,7 +89,7 @@ def test_bound_evaluator_dominates_errors():
     cfg = SketchConfig(k, 5, ldeim_budget=khat, seed=1)
     from rcur.rsvd import randomized_rsvd
 
-    factors = randomized_rsvd(a_e, b, g, cfg, sketch_width=khat + 5)
+    factors = randomized_rsvd(a_e, b, g, cfg)
     fac = r_ldeim_rsvd_cur(a_e, b, g, cfg)
     bound = rsvdcur_bound(a_e, b, g, factors, k, khat, 5)
     assert bound.bound_a >= 0

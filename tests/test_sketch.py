@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcur.linalg import DimensionError
 from rcur.sketch import SketchConfig, gaussian_matrix, range_finder, split_seed
 
 
@@ -60,7 +61,7 @@ def test_range_finder_captures_low_rank_exactly():
 
 
 def test_range_finder_rejects_excess_width():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         range_finder(np.eye(5), 6, seed=0)
 
 
