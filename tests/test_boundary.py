@@ -90,7 +90,7 @@ K_P, KHAT_P = 4 + 2, 2 + 2
     (lambda: r_deim_gcur(A, B, CFG), K_P),
     (lambda: r_ldeim_gcur(A, B, CFG), KHAT_P),
 ], ids=["gsvd-deim", "gsvd-ldeim", "r_deim_gcur", "r_ldeim_gcur"])
-def test_gsvd_sketch_width_comes_from_config(widths, call, expected):
+def test_gsvd_sketch_is_as_wide_as_config_says(widths, call, expected):
     call()
     assert widths == [expected]
 
@@ -100,7 +100,7 @@ def test_gsvd_sketch_width_comes_from_config(widths, call, expected):
     (lambda: randomized_rsvd(TA, TB, TG, CFG, Method.LDEIM), KHAT_P),
     (lambda: r_ldeim_rsvd_cur(TA, TB, TG, CFG), KHAT_P),
 ], ids=["rsvd-deim", "rsvd-ldeim", "r_ldeim_rsvd_cur"])
-def test_rsvd_second_sketch_width_comes_from_config(widths, call, expected):
+def test_rsvd_second_sketch_is_as_wide_as_config_says(widths, call, expected):
     # the first sketch is full width n = 8; the second is the config's
     # width, above the m - n + 1 = 3 floor and below l = 30
     call()
