@@ -23,7 +23,7 @@ from . import bench
 from .cur import deim_cur
 from .gcur import gcur_deterministic, gcur_error, r_deim_gcur, r_ldeim_gcur
 from .gsvd import gsvd, randomized_gsvd
-from .io import write_matrix
+from .io import read_csv, read_matrix, write_matrix
 from .linalg import relative_error
 from .rsvd import randomized_rsvd, rsvd_deterministic
 from .rsvd_cur import r_ldeim_rsvd_cur, rsvd_cur, rsvd_cur_from_factors
@@ -53,8 +53,6 @@ def _join_indices(idx):
 
 
 def _read(path):
-    from .io import read_csv, read_matrix
-
     if str(path).endswith(".csv"):
         return read_csv(path)
     return read_matrix(path)
@@ -69,7 +67,7 @@ def _config(args):
 def _cmd_gsvd(args):
     a, b = _read(args.a), _read(args.b)
     if args.randomized:
-        factors, _ = randomized_gsvd(a, b, _config(args))
+        factors, _ = randomized_gsvd(a, b, _config(args), Method(args.method))
     else:
         factors = gsvd(a, b)
     write_matrix(f"{args.out_prefix}_U.mtx", factors.u)
@@ -87,7 +85,7 @@ def _cmd_gsvd(args):
 def _cmd_rsvd(args):
     a, b, g = _read(args.a), _read(args.b), _read(args.g)
     if args.randomized:
-        factors = randomized_rsvd(a, b, g, _config(args))
+        factors = randomized_rsvd(a, b, g, _config(args), Method(args.method))
     else:
         factors = rsvd_deterministic(a, b, g)
     write_matrix(f"{args.out_prefix}_Z.mtx", factors.z)
@@ -229,17 +227,20 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_rand_flags(p, k_required=False):
+    def add_rank_flags(p, k_required=False):
         p.add_argument("-k", type=int, required=k_required, default=None,
                        help="target rank")
         p.add_argument("--khat", type=int, default=None,
                        help="L-DEIM basis budget (default ceil(k/2))")
+        p.add_argument("--method", choices=["deim", "ldeim"], default="deim")
+
+    def add_rand_flags(p, k_required=False):
+        add_rank_flags(p, k_required)
         p.add_argument("-p", "--oversampling", type=int, default=5,
                        dest="oversampling", help="sketch oversampling")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--randomized", action="store_true",
                        help="use the sketched variant")
-        p.add_argument("--method", choices=["deim", "ldeim"], default="deim")
 
     p = sub.add_parser("gsvd", help="generalized SVD of a pair")
     p.add_argument("--a", required=True)
@@ -259,7 +260,7 @@ def _build_parser():
     p = sub.add_parser("cur", help="DEIM-type CUR of a single matrix")
     p.add_argument("--a", required=True)
     p.add_argument("--report", required=True)
-    add_rand_flags(p, k_required=True)
+    add_rank_flags(p, k_required=True)
     p.set_defaults(func=_cmd_cur)
 
     p = sub.add_parser("gcur", help="generalized CUR of a pair")

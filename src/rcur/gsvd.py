@@ -82,9 +82,9 @@ def _cs_gsvd(a, b, require_full_rank=True):
     d, ra = b.shape[0], a.shape[0]
     q, r = qr_stacked([b, a])
     if require_full_rank:
+        # relative to the largest pivot, so the decision ignores the scale
         diag = np.abs(np.diag(r))
-        scale = max(diag.max(), 1.0)
-        if diag.min() <= n * np.finfo(float).eps * scale:
+        if diag.min() <= n * np.finfo(float).eps * diag.max():
             raise RankDeficiencyError("stacked pair [B; A] is rank deficient")
     # the full left factor is never needed; the right factor must stay n-by-n
     w, s, zt = np.linalg.svd(q.rows(d, d + ra), full_matrices=ra < n)
@@ -139,10 +139,11 @@ def gsvd(a, b):
 def randomized_gsvd(a, b, cfg: SketchConfig, method=Method.DEIM):
     """Randomized GSVD: exact GSVD of (Q Q^T A, B) on a sketched range of A.
 
-    Returns (factors, q) where q is the m-by-width range basis of A, its
-    width ``cfg.width(method)``: k + p for DEIM, khat + p for L-DEIM.  The
-    U factor has that many columns; B is factored exactly, A only through
-    its projection onto range(q).
+    Returns (factors, q) where q is the m-by-w range basis of A from
+    ``range_finder``: w is ``cfg.width(method)`` (k + p for DEIM, khat + p
+    for L-DEIM), capped at min(m, n).  The U factor has w columns; B is
+    factored exactly, A only through its projection onto range(q), which at
+    the cap is A itself.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, as_matrix, qr_thin
+from .linalg import as_matrix, qr_thin
 from .selection import Method, default_khat, leading_columns
 
 __all__ = ["SketchConfig", "gaussian_matrix", "range_finder", "split_seed"]
@@ -39,7 +39,8 @@ class SketchConfig:
             raise ValueError("ldeim_budget must satisfy 1 <= khat <= k")
 
     def width(self, method: Method):
-        """Sketch width for ``method``: the basis columns it reads plus p."""
+        """Sketch width for ``method``: the basis columns it reads plus p,
+        which ``range_finder`` caps at min(rows, cols) of what it sketches."""
         return (leading_columns(self.target_rank, method, self.ldeim_budget)
                 + self.oversampling)
 
@@ -61,12 +62,11 @@ def gaussian_matrix(rows, cols, seed):
 def range_finder(a, width, seed):
     """Orthonormal basis Q of the sketched range of ``a`` (one-pass, no power iterations).
 
-    Q = qr(A @ Omega).Q with Omega an n-by-width Gaussian sketch.
+    Q = qr(A @ Omega).Q with Omega an n-by-min(width, m, n) Gaussian sketch:
+    past that cap a sketch compresses nothing, as Q already spans the range
+    of a full-rank ``a``.  The only place a Gaussian sketch is drawn.
     """
     a = as_matrix(a)
-    m, n = a.shape
-    if width > min(m, n):
-        raise DimensionError(f"sketch width {width} exceeds min{a.shape}")
-    omega = gaussian_matrix(n, width, seed)
+    omega = gaussian_matrix(a.shape[1], min(width, *a.shape), seed)
     q, _ = qr_thin(a @ omega)
     return q

@@ -6,7 +6,6 @@ All generators are pure functions of their parameters and the seed
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import DimensionError, as_matrix, two_norm
 from .sketch import split_seed
@@ -60,7 +59,8 @@ def toeplitz_noise(m, n, epsilon, signal, seed=0):
     signal = as_matrix(signal, "signal")
     if epsilon == 0.0:
         return np.zeros((m, n))
-    t = scipy.linalg.toeplitz(0.99 ** np.arange(n))
+    i = np.arange(n)
+    t = 0.99 ** np.abs(np.subtract.outer(i, i))
     chol_upper = np.linalg.cholesky(t).T
     rng = np.random.Generator(np.random.Philox(seed))
     f = rng.standard_normal((m, n)) @ chol_upper

@@ -1,13 +1,13 @@
 """The two policies owned by one place each.
 
 Every public entry point validates the matrices it receives (a NaN is a
-``ValueError``), and ``SketchConfig.width`` alone sets every sketch width.
+``ValueError``), and ``SketchConfig.width`` alone sets every sketch width,
+which ``range_finder`` caps at min(rows, cols) of the matrix it sketches.
+The ``widths`` fixture (conftest) records every Gaussian draw.
 """
 import numpy as np
 import pytest
 
-import rcur.rsvd
-import rcur.sketch
 from rcur.cur import CurFactors, deim_cur
 from rcur.gcur import GcurFactors, middle_matrix, r_deim_gcur, r_ldeim_gcur
 from rcur.gsvd import gsvd, randomized_gsvd
@@ -66,21 +66,6 @@ def test_public_entry_points_reject_nan(fn, args, pos):
         fn(*args[:pos], bad, *args[pos + 1:])
 
 
-@pytest.fixture
-def widths(monkeypatch):
-    """Column counts of every Gaussian draw, in call order."""
-    drawn = []
-    draw = rcur.sketch.gaussian_matrix
-
-    def spy(rows, cols, seed):
-        drawn.append(cols)
-        return draw(rows, cols, seed)
-
-    monkeypatch.setattr(rcur.sketch, "gaussian_matrix", spy)
-    monkeypatch.setattr(rcur.rsvd, "gaussian_matrix", spy)
-    return drawn
-
-
 K_P, KHAT_P = 4 + 2, 2 + 2
 
 
@@ -105,3 +90,14 @@ def test_rsvd_second_sketch_is_as_wide_as_config_says(widths, call, expected):
     # width, above the m - n + 1 = 3 floor and below l = 30
     call()
     assert widths == [TA.shape[1], expected]
+
+
+def test_no_sketch_is_wider_than_the_matrix_it_compresses(widths):
+    # k + p = 24 asks for more columns than A (n = 12) and than the l-by-m
+    # product B^T U_1 (m = 10) have; each draw stops at that matrix's width
+    wide = SketchConfig(4, 20, seed=0)
+    randomized_gsvd(A, B, wide)
+    assert widths == [A.shape[1]]
+    widths.clear()
+    randomized_rsvd(TA, TB, TG, wide)
+    assert widths == [TA.shape[1], TA.shape[0]]

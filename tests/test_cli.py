@@ -230,6 +230,22 @@ def test_bench_exp4_command(tmp_path):
     assert len(rows) == 3
 
 
+def test_randomized_gsvd_and_rsvd_follow_method(tmp_path, widths):
+    # L-DEIM at khat = 2, p = 1 sketches khat + p = 3 columns, not k + p;
+    # A is square so the RSVD floor m - n + 1 = 1 leaves the width alone
+    rng = np.random.default_rng(3)
+    a, b, g = (str(tmp_path / f"{name}.mtx") for name in "abg")
+    for path, shape in [(a, (8, 8)), (b, (8, 20)), (g, (12, 8))]:
+        write_matrix(path, rng.standard_normal(shape))
+    flags = ["--randomized", "--method", "ldeim", "-k", "4", "--khat", "2",
+             "-p", "1", "--out-prefix", str(tmp_path / "o")]
+    assert run(["gsvd", "--a", a, "--b", g, *flags]) == 0
+    assert widths == [3]
+    widths.clear()
+    assert run(["rsvd", "--a", a, "--b", b, "--g", g, *flags]) == 0
+    assert widths == [8, 3]
+
+
 def test_numerical_failure_exits_one(tmp_path, capsys):
     a = np.zeros((6, 4))
     b = np.zeros((5, 4))
@@ -259,3 +275,9 @@ def test_usage_error_exits_two(pair, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+    # deim_cur never sketches, so cur takes no sketch flags
+    for flag in (["--randomized"], ["-p", "3"], ["--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["cur", "--a", pa, "--report", str(tmp_path / "r.csv"),
+                 "-k", "2", *flag])
+        assert exc.value.code == 2

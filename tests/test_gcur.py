@@ -144,6 +144,9 @@ def test_rank_above_basis_width_is_rejected():
     b = rng.standard_normal((15, 10))
     with pytest.raises(ValueError, match="basis has 10"):
         gcur_deterministic(a[:20, :10], b, 11)
+    # a sketch past n stops at n columns, which cannot carry k = 11 either
+    with pytest.raises(ValueError, match="basis has 10"):
+        r_deim_gcur(a[:20, :10], b, SketchConfig(11, 5))
 
 
 def test_gcur_error_rejects_zero_a():
@@ -177,6 +180,22 @@ def test_ldeim_sketch_is_budget_plus_oversampling_wide():
     # k + p = 11 would also fit; budget governs the sketch
     fac = r_ldeim_gcur(a, b, SketchConfig(6, 5, ldeim_budget=3, seed=0))
     assert len(fac.p) == 6
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sketch_past_n_selects_the_deterministic_indices(seed):
+    # k + p = 13 and khat + p = 11 exceed n = 8: the sketch stops at n
+    # columns, spans all of range(A), and selects what the full GSVD selects
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((40, 8))
+    b = rng.standard_normal((20, 8))
+    cfg = SketchConfig(5, 8, seed=seed)
+    for method, rand in ((Method.DEIM, r_deim_gcur),
+                         (Method.LDEIM, r_ldeim_gcur)):
+        ref = gcur_deterministic(a, b, 5, method, cfg.ldeim_budget)
+        fac = rand(a, b, cfg)
+        for name in ("p", "s_a", "s_b"):
+            assert np.array_equal(getattr(fac, name), getattr(ref, name))
 
 
 def test_sketch_tail_bound_zero_tail():

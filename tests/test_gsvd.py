@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcur.linalg import DimensionError, RankDeficiencyError
+from rcur.gcur import gcur_deterministic
 from rcur.gsvd import _cs_gsvd, gsvd, randomized_gsvd
 from rcur.sketch import SketchConfig
 
@@ -104,10 +105,28 @@ def test_randomized_full_width_matches_deterministic_values():
     assert np.linalg.norm(rand.reconstruct_a() - a) <= 1e-8 * np.linalg.norm(a)
 
 
-def test_randomized_rejects_excess_width():
+def test_randomized_clamps_excess_width():
+    # k + p = 19 > n = 15: the basis stops at n columns and A is exact
     a, b = random_pair(9)
-    with pytest.raises(DimensionError):
-        randomized_gsvd(a, b, SketchConfig(14, 5, seed=0))
+    factors, q = randomized_gsvd(a, b, SketchConfig(14, 5, seed=0))
+    assert q.shape == factors.u.shape == (40, 15)
+    assert np.allclose(q.T @ q, np.eye(15), atol=1e-12)
+    err = np.linalg.norm(factors.reconstruct_a() - a)
+    assert err <= 1e-10 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("scale", [1e-16, 1e30])
+def test_rank_decision_ignores_scale(scale):
+    # a well-conditioned pair is full rank at any scale; the GSVD values and
+    # the GCUR indices do not depend on it
+    a, b = random_pair(12, m=60, d=40, n=20)
+    det = gsvd(a, b)
+    scaled = gsvd(scale * a, scale * b)
+    assert np.allclose(scaled.gamma, det.gamma, atol=1e-12)
+    ref = gcur_deterministic(a, b, 10)
+    fac = gcur_deterministic(scale * a, scale * b, 10)
+    for name in ("p", "s_a", "s_b"):
+        assert np.array_equal(getattr(fac, name), getattr(ref, name))
 
 
 def test_low_rank_a_flags_small_betas_only_when_b_deficient():

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,17 +152,29 @@ def test_complete_orthonormal_keeps_leading_block():
 
 
 @pytest.mark.parametrize("module", ["linalg", "gsvd", "gcur", "cur", "selection",
-                                    "sketch", "rsvd", "rsvd_cur"])
+                                    "sketch", "rsvd", "rsvd_cur", "synth"])
 def test_kernel_modules_import_no_scipy(module):
     # NumPy and SciPy may each bundle their own OpenBLAS; a kernel that calls
     # into SciPy's makes the two thread pools contend for the same cores.
-    # Only io and synth (file formats, generators) may import SciPy.
+    # Only io (Matrix Market files) may import SciPy.
     tree = ast.parse((Path(rcur.__file__).parent / f"{module}.py").read_text())
     imported = [alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.Import) for alias in node.names]
     imported += [node.module for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module]
     assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+def test_package_import_loads_no_scipy():
+    # only rcur.io needs SciPy, and the package does not import it
+    code = ("import sys, rcur; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    src = str(Path(rcur.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("name", ["gsvd", "rsvd_cur"])

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcur.linalg import DimensionError
 from rcur.sketch import SketchConfig, gaussian_matrix, range_finder, split_seed
 
 
@@ -60,9 +59,17 @@ def test_range_finder_captures_low_rank_exactly():
     assert np.linalg.norm(a - q @ (q.T @ a)) < 1e-10 * np.linalg.norm(a)
 
 
-def test_range_finder_rejects_excess_width():
-    with pytest.raises(DimensionError):
-        range_finder(np.eye(5), 6, seed=0)
+def test_range_finder_clamps_excess_width():
+    # past min(m, n) a sketch compresses nothing: the basis has min(m, n)
+    # orthonormal columns and spans the whole range
+    rng = np.random.default_rng(4)
+    for shape in ((5, 5), (12, 7), (7, 12)):
+        a = rng.standard_normal(shape)
+        q = range_finder(a, 20, seed=0)
+        r = min(shape)
+        assert q.shape == (shape[0], r)
+        assert np.allclose(q.T @ q, np.eye(r), atol=1e-12)
+        assert np.linalg.norm(a - q @ (q.T @ a)) <= 1e-12 * np.linalg.norm(a)
 
 
 @given(st.integers(0, 10**6))
