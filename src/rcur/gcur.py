@@ -9,15 +9,13 @@ Indices come from DEIM or L-DEIM applied to the (possibly sketched) GSVD
 factors; middle matrices come from thin QRs of C and R^T and two k-by-k
 solves, never an explicit pseudoinverse.
 
-Those thin QRs go by CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa &
-Fukaya, ETNA 44, 2015): two Gram/Cholesky passes, all BLAS-3, which give Q
-and R of Householder quality while kappa stays below about eps^{-1/2}.  On a
-2-core OpenBLAS host, a Householder QR of a 2000-by-100 block with its Q
-takes 23 ms (3.5 GFLOP/s); the block's Gram matrix and Cholesky take 0.9 ms
-(23 GFLOP/s) and the whole CholeskyQR2 3 ms.  The fast path declines when a
-Cholesky fails or when its first pass loses more than ``CHOLQR_ORTH_TOL`` of
-orthogonality (kappa beyond about 1e7); the Householder QR then runs
-unchanged.
+Those thin QRs go by ``linalg.cholesky_qr2``, the kernel the GSVD's stacked
+QR also runs: two Gram/Cholesky passes, all BLAS-3, which give Q and R of
+Householder quality while kappa stays below about eps^{-1/2}.  On a 2-core
+OpenBLAS host, a Householder QR of a 2000-by-100 block with its Q takes
+23 ms (3.5 GFLOP/s); the block's Gram matrix and Cholesky take 0.9 ms
+(23 GFLOP/s) and the whole CholeskyQR2 3 ms.  Where the kernel declines (a
+failed Cholesky, kappa beyond about 1e7) the Householder QR runs unchanged.
 """
 from __future__ import annotations
 
@@ -30,6 +28,7 @@ from .linalg import (
     RankDeficiencyError,
     as_index_list,
     as_matrix,
+    cholesky_qr2,
     relative_error,
     select_columns,
     select_rows,
@@ -55,10 +54,6 @@ __all__ = [
 # generalized values with gamma/beta below this are warned about: the target
 # rank exceeds the numerical rank of A against B and errors will plateau
 RATIO_WARN_TOL = 1e-12
-
-# CholeskyQR2's first pass loses about kappa^2 * eps of orthogonality; past
-# this loss (kappa beyond about 1e7) the middle-matrix QRs go by Householder
-CHOLQR_ORTH_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -91,28 +86,6 @@ class GcurBound:
     p: int
 
 
-def _cholesky_qr2(x):
-    """Thin QR of ``x`` by CholeskyQR2, or None where it cannot be trusted.
-
-    R1 = chol(X^T X), Q1 = X R1^{-1}; R2 = chol(Q1^T Q1), Q = Q1 R2^{-1},
-    R = R2 R1.  Declines (None) when a Cholesky fails or when
-    ||Q1^T Q1 - I||_F exceeds ``CHOLQR_ORTH_TOL``.  The inverses are of
-    triangular factors, whose LU needs no pivoting.
-    """
-    # an overflowed Gram matrix leaves NaNs, which "not <=" declines quietly
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            r1 = np.linalg.cholesky(x.T @ x).T
-            q1 = x @ np.linalg.inv(r1)
-            g = q1.T @ q1
-            if not np.linalg.norm(g - np.eye(x.shape[1])) <= CHOLQR_ORTH_TOL:
-                return None
-            r2 = np.linalg.cholesky(g).T
-        except np.linalg.LinAlgError:
-            return None
-    return q1 @ np.linalg.inv(r2), r2 @ r1
-
-
 def _full_rank_qr(x, what):
     """Thin QR of ``x``, refused unless its k columns are numerically independent.
 
@@ -121,8 +94,11 @@ def _full_rank_qr(x, what):
     taken fast path has min|R_ii| / max|R_ii| >= 1/kappa(x), far above that
     tolerance, so it never changes the rank decision.
     """
-    qr = _cholesky_qr2(x)
-    q, r = np.linalg.qr(x) if qr is None else qr
+    qr = cholesky_qr2([x])
+    if qr is None:
+        q, r = np.linalg.qr(x)
+    else:
+        q, r = qr[0].rows(0, x.shape[0]), qr[1]
     diag = np.abs(np.diag(r))
     tol = np.finfo(float).eps * max(x.shape) * diag.max(initial=0.0)
     rank = int(np.count_nonzero(diag > tol))
@@ -139,11 +115,11 @@ def middle_matrix(m, p, s):
 
     With C = Q_C R_C and R^T = Q_R R_R this is R_C^{-1} (Q_C^T M Q_R) R_R^{-T}:
     two thin QRs, one product with M and two k-by-k solves.  Each QR is
-    CholeskyQR2, whose Gram matrices and Cholesky factors run at about 6x
-    the flop rate of a Householder QR (measured at 2000-by-100).  It is
-    declined when a Cholesky fails or its first pass loses more than
-    ``CHOLQR_ORTH_TOL`` of orthogonality (kappa beyond about 1e7); that
-    factor then goes by Householder QR, so an ill-conditioned or
+    ``linalg.cholesky_qr2`` on one block, whose Gram matrices and Cholesky
+    factors run at about 6x the flop rate of a Householder QR (measured at
+    2000-by-100).  Where it declines (a failed Cholesky, or a first pass
+    that loses more than ``CHOLQR_ORTH_TOL`` of orthogonality, kappa beyond
+    about 1e7) that factor goes by Householder QR, so an ill-conditioned or
     rank-deficient C or R gets the same result and error message as before.
     """
     m = as_matrix(m)

@@ -5,12 +5,13 @@ The pair (A, B) with A m-by-n, B d-by-n is factored as
     A = U diag(gamma) Y^T,    B = V diag(beta) Y^T,
 
 with U, V orthonormal columns, Y n-by-n nonsingular, gamma_i^2 + beta_i^2 = 1
-and gamma_i / beta_i non-increasing.  The kernel route is a Householder QR
-of the stacked matrix [B; A] = QR followed by an SVD of the A-block of Q (a
-CS-decomposition step), which costs O((m+d) n^2).  Q stays implicit in
-compact-WY form (``linalg.qr_stacked``): only the A-block Q_A and the
-B-side product Q_B Z are formed, one gemm each, never the explicit
-(m+d)-by-n Q.
+and gamma_i / beta_i non-increasing.  The kernel route is a QR of the
+stacked matrix [B; A] = QR followed by an SVD of the A-block of Q (a
+CS-decomposition step), which costs O((m+d) n^2).  The QR goes by
+CholeskyQR2 (``linalg.cholesky_qr2``), all BLAS-3, and falls back to a
+Householder QR with Q in compact-WY form (``linalg.qr_stacked``) where
+CholeskyQR2 declines.  On either route only the A-block Q_A and the B-side
+product Q_B Z are formed, one gemm each, never the explicit (m+d)-by-n Q.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .linalg import (
     DimensionError,
     RankDeficiencyError,
     as_matrix,
+    cholesky_qr2,
     qr_stacked,
 )
 from .selection import Method
@@ -65,9 +67,16 @@ def _cs_gsvd(a, b, require_full_rank=True):
     a-side orthonormal factor has min(rows(a), n) columns; both inputs are
     reproduced exactly up to roundoff.
 
-    Route: [B; A] = QR with Q implicit (``qr_stacked``); the SVD
-    Q_A = W diag(gamma) Z^T of the formed A-block gives U = W and Y = R^T Z;
-    the formed product Q_B Z = V diag(beta) gives V and beta.
+    Route: [B; A] = QR with Q implicit; the SVD Q_A = W diag(gamma) Z^T of
+    the formed A-block gives U = W and Y = R^T Z; the formed product
+    Q_B Z = V diag(beta) gives V and beta.  The QR is CholeskyQR2
+    (``cholesky_qr2``, Q_A = Q1_A R2^{-1} and Q_B Z = Q1_B (R2^{-1} Z)).
+    It falls back to Householder (``qr_stacked``) when CholeskyQR2 declines
+    (a failed Cholesky, kappa beyond about 1e7, an overflowing Gram matrix)
+    and when ``require_full_rank`` is False: such a stack may be singular,
+    and CholeskyQR2 has no R for it.  An accepted CholeskyQR2 has
+    min|R_ii| / max|R_ii| >= 1/kappa, far above the rank test's n * eps,
+    so the route never changes a rank decision.
 
     Both inputs must be 2-d float arrays with finite entries: every caller
     has validated or computed them, so they are not scanned again here.
@@ -80,7 +89,8 @@ def _cs_gsvd(a, b, require_full_rank=True):
     if a.shape[0] + b.shape[0] < n:
         raise DimensionError("stacked pair has fewer rows than columns")
     d, ra = b.shape[0], a.shape[0]
-    q, r = qr_stacked([b, a])
+    qr = cholesky_qr2([b, a]) if require_full_rank else None
+    q, r = qr_stacked([b, a]) if qr is None else qr
     if require_full_rank:
         # relative to the largest pivot, so the decision ignores the scale
         diag = np.abs(np.diag(r))

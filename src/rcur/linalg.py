@@ -6,9 +6,19 @@ the sketching layer.
 
 A matrix is validated once, by ``as_matrix``, where it enters the library:
 in the public function that receives it from the caller.  The kernels
-``qr_thin``, ``qr_stacked``, ``svd_thin``, ``two_norm`` and
-``complete_orthonormal`` take only arrays their callers validated or
+``qr_thin``, ``qr_stacked``, ``cholesky_qr2``, ``svd_thin``, ``two_norm``
+and ``complete_orthonormal`` take only arrays their callers validated or
 computed, so they check shapes but do not scan the entries again.
+
+Two QR kernels factor a row stack of blocks without forming Q in full, and
+both return a Q whose ``rows(lo, hi, z=None)`` forms a row block of it or
+that block's product with an n-column matrix.  ``cholesky_qr2`` is the fast
+route, all BLAS-3 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44,
+2015); it declines (returns None) where it cannot be trusted, and the
+caller then runs the Householder route ``qr_stacked``.  On a 2-core
+OpenBLAS host a Householder QR (geqrf) of a 20000-by-200 block runs at
+about 10 GFLOP/s; the gemms CholeskyQR2 is built from run at about
+57 GFLOP/s.
 
 Every kernel calls NumPy's LAPACK and BLAS, never SciPy's: the two packages
 may each bundle their own OpenBLAS build, and when both are loaded their
@@ -28,6 +38,9 @@ __all__ = [
     "qr_thin",
     "ImplicitQ",
     "qr_stacked",
+    "CHOLQR_ORTH_TOL",
+    "CholeskyQ",
+    "cholesky_qr2",
     "svd_thin",
     "two_norm",
     "relative_error",
@@ -35,6 +48,11 @@ __all__ = [
     "select_rows",
     "complete_orthonormal",
 ]
+
+
+# CholeskyQR2's first pass loses about kappa^2 * eps of orthogonality; past
+# this loss (kappa beyond about 1e7) it declines and Householder QR runs
+CHOLQR_ORTH_TOL = 1e-2
 
 
 class DimensionError(ValueError):
@@ -139,6 +157,58 @@ def qr_stacked(blocks):
         t[i, i] = tau[i]
         t[:i, i] = -tau[i] * (t[:i, :i] @ g[:i, i])
     return ImplicitQ(v=v, t=t, w=t @ v[:n].T), r
+
+
+@dataclass(frozen=True)
+class CholeskyQ:
+    """Q factor of a CholeskyQR2, Q = Q1 R2^{-1}, kept as Q1 and R2^{-1}.
+
+    A row block of Q, or its product with an n-column matrix, costs one
+    gemm against the matching rows of Q1; Q itself is never formed.
+    """
+
+    q1: np.ndarray
+    r2_inv: np.ndarray
+
+    def rows(self, lo, hi, z=None):
+        """Q[lo:hi], or Q[lo:hi] @ z when ``z`` (n rows) is given."""
+        right = self.r2_inv if z is None else self.r2_inv @ z
+        return self.q1[lo:hi] @ right
+
+
+def cholesky_qr2(blocks):
+    """CholeskyQR2 of the row stack of ``blocks``, or None where it cannot be trusted.
+
+    R1 = chol(X^T X), Q1 = X R1^{-1}; R2 = chol(Q1^T Q1), R = R2 R1 and
+    Q = Q1 R2^{-1}.  X^T X is summed block by block and each block of Q1
+    is written in place, so the stack X is never copied.  Returns (q, r):
+    ``q`` a :class:`CholeskyQ` and ``r`` the n-by-n upper-triangular
+    factor.  Declines (None) when the stack has fewer rows than columns, a
+    Cholesky fails, the Gram matrix overflows, or ||Q1^T Q1 - I||_F
+    exceeds ``CHOLQR_ORTH_TOL``.  Where it accepts, min|R_ii| / max|R_ii|
+    >= 1/kappa, so a rank test on R decides as it would on the Householder
+    R.  The inverses are of triangular factors, whose LU needs no pivoting.
+    """
+    m, n = sum(x.shape[0] for x in blocks), blocks[0].shape[1]
+    if m < n:
+        return None
+    # an overflowed Gram matrix leaves NaNs, which "not <=" declines quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            r1 = np.linalg.cholesky(sum(x.T @ x for x in blocks)).T
+            r1_inv = np.linalg.inv(r1)
+            q1 = np.empty((m, n))
+            lo = 0
+            for x in blocks:
+                np.matmul(x, r1_inv, out=q1[lo:lo + x.shape[0]])
+                lo += x.shape[0]
+            g = q1.T @ q1
+            if not np.linalg.norm(g - np.eye(n)) <= CHOLQR_ORTH_TOL:
+                return None
+            r2 = np.linalg.cholesky(g).T
+        except np.linalg.LinAlgError:
+            return None
+    return CholeskyQ(q1=q1, r2_inv=np.linalg.inv(r2)), r2 @ r1
 
 
 def svd_thin(a):

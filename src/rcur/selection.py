@@ -51,6 +51,11 @@ def _pivot_floor(v):
     unbounded.
     """
     norms = np.sqrt(np.einsum("ij,ij->j", v, v))
+    big = np.isinf(norms)
+    if big.any():
+        # the squares overflowed: rescale those columns by their largest entry
+        top = np.abs(v[:, big]).max(axis=0)
+        norms[big] = top * np.linalg.norm(v[:, big] / top, axis=0)
     return max(v.shape) * np.finfo(float).eps * norms
 
 

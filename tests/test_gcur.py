@@ -78,20 +78,12 @@ def test_middle_matrix_matches_pinv_oracle(k, kappa, tol):
     assert np.linalg.norm(m - oracle) <= tol * np.linalg.norm(oracle)
 
 
-def test_middle_matrix_householder_only_when_ill_conditioned(monkeypatch):
+def test_middle_matrix_householder_only_when_ill_conditioned(householder_shapes):
     well, ill = middle_matrix_input(50), middle_matrix_input(50, 1e10)
-    shapes = []
-    qr = np.linalg.qr
-
-    def counting_qr(x, *args, **kwargs):
-        shapes.append(x.shape)
-        return qr(x, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
     middle_matrix(*well)
-    assert shapes == []
+    assert householder_shapes == []
     middle_matrix(*ill)
-    assert shapes == [(2000, 50)]  # only C; R^T stays well conditioned
+    assert householder_shapes == [(2000, 50)]  # only C; R^T stays well conditioned
 
 
 def test_rank_one_closed_form():

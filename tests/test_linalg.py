@@ -4,16 +4,19 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import rcur
-from rcur.gsvd import _cs_gsvd
+import rcur.gsvd
+from rcur.gsvd import _cs_gsvd, gsvd
 from rcur.linalg import (
     DimensionError,
     as_index_list,
     as_matrix,
+    cholesky_qr2,
     complete_orthonormal,
     qr_stacked,
     qr_thin,
@@ -112,6 +115,79 @@ def test_qr_stacked_identity_reflector():
     assert np.allclose(q.rows(0, 7), q_ref, atol=1e-14)
     with pytest.raises(DimensionError):
         qr_stacked([np.ones((1, 3)), np.ones((1, 3))])
+
+
+def test_cholesky_qr2_factors_a_row_stack():
+    rng = np.random.default_rng(7)
+    x = conditioned(rng, 3000, 80, 1e5)
+    q, r = cholesky_qr2([x[:1200], x[1200:]])
+    assert np.array_equal(r, np.triu(r)) and np.all(np.diag(r) > 0)
+    qx = q.rows(0, 3000)
+    assert np.abs(qx.T @ qx - np.eye(80)).max() <= 1e-14
+    assert np.linalg.norm(qx @ r - x) <= 1e-14 * np.linalg.norm(x)
+    # a row range across the block boundary, alone and times z
+    z = rng.standard_normal((80, 80))
+    assert np.abs(q.rows(1000, 1500) - qx[1000:1500]).max() <= 1e-15
+    assert np.abs(q.rows(1000, 1500, z) - qx[1000:1500] @ z).max() <= 1e-13
+
+
+# at kappa 1e8 both Cholesky factorizations succeed and only the
+# orthogonality test declines; at 1e10 the first Cholesky fails
+@pytest.mark.parametrize("case", ["kappa1e8", "kappa1e10", "overflow", "zero",
+                                  "wide"])
+def test_cholesky_qr2_declines_quietly(case):
+    rng = np.random.default_rng(8)
+    x = {
+        "kappa1e8": conditioned(rng, 500, 40, 1e8),
+        "kappa1e10": conditioned(rng, 500, 40, 1e10),
+        "overflow": 1e160 * rng.standard_normal((500, 40)),
+        "zero": np.zeros((500, 40)),
+        "wide": rng.standard_normal((30, 40)),
+    }[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cholesky_qr2([x[:200], x[200:]]) is None
+
+
+def test_gsvd_stack_takes_no_householder_qr_when_well_conditioned(
+        householder_shapes):
+    rng = np.random.default_rng(9)
+    gsvd(rng.standard_normal((2000, 300)), rng.standard_normal((2000, 300)))
+    assert householder_shapes == []
+
+
+def test_gsvd_stack_falls_back_to_one_householder_qr(householder_shapes):
+    rng = np.random.default_rng(10)
+    x = conditioned(rng, 5500, 120, 1e10)
+    gsvd(x[2500:], x[:2500])
+    assert householder_shapes == [(5500, 120)]
+    # a stack that may be singular never tries CholeskyQR2
+    householder_shapes.clear()
+    x = rng.standard_normal((5500, 120))
+    _cs_gsvd(x[2500:], x[:2500], require_full_rank=False)
+    assert householder_shapes == [(5500, 120)]
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])
+def test_gsvd_cholesky_route_matches_householder_route(cond, monkeypatch):
+    # gamma and beta are perturbed at the forward-error scale kappa * eps
+    # (measured up to 5e-13 at kappa 1e6); residuals and orthonormality stay
+    # at roundoff on both routes
+    eps = np.finfo(float).eps
+    for seed in range(3):
+        x = conditioned(np.random.default_rng(seed), 5500, 120, cond)
+        b, a = x[:2500], x[2500:]
+        assert cholesky_qr2([b, a]) is not None
+        f = _cs_gsvd(a, b)
+        with monkeypatch.context() as m:
+            m.setattr(rcur.gsvd, "cholesky_qr2", lambda blocks: None)
+            ref = _cs_gsvd(a, b)
+        assert np.abs(f.gamma - ref.gamma).max() <= 10 * cond * eps
+        assert np.abs(f.beta - ref.beta).max() <= 10 * cond * eps
+        for got, want in ((f.reconstruct_a(), a), (f.reconstruct_b(), b)):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        for w in (f.u, f.v):
+            assert np.abs(w.T @ w - np.eye(120)).max() <= 1e-13
 
 
 def test_svd_thin_reconstructs():
