@@ -9,13 +9,8 @@ Indices come from DEIM or L-DEIM applied to the (possibly sketched) GSVD
 factors; middle matrices come from thin QRs of C and R^T and two k-by-k
 solves, never an explicit pseudoinverse.
 
-Those thin QRs go by ``linalg.cholesky_qr2``, the kernel the GSVD's stacked
-QR also runs: two Gram/Cholesky passes, all BLAS-3, which give Q and R of
-Householder quality while kappa stays below about eps^{-1/2}.  On a 2-core
-OpenBLAS host, a Householder QR of a 2000-by-100 block with its Q takes
-23 ms (3.5 GFLOP/s); the block's Gram matrix and Cholesky take 0.9 ms
-(23 GFLOP/s) and the whole CholeskyQR2 3 ms.  Where the kernel declines (a
-failed Cholesky, kappa beyond about 1e7) the Householder QR runs unchanged.
+Those thin QRs go by ``linalg.qr_stack``, the kernel the GSVD's stacked QR
+also runs and the one place that picks the QR route.
 """
 from __future__ import annotations
 
@@ -28,7 +23,7 @@ from .linalg import (
     RankDeficiencyError,
     as_index_list,
     as_matrix,
-    cholesky_qr2,
+    qr_stack,
     relative_error,
     select_columns,
     select_rows,
@@ -87,18 +82,17 @@ class GcurBound:
 
 
 def _full_rank_qr(x, what):
-    """Thin QR of ``x``, refused unless its k columns are numerically independent.
+    """Thin QR of ``x`` by ``qr_stack``, refused unless its k columns are
+    numerically independent.
 
-    CholeskyQR2 where it accepts ``x``, Householder otherwise.  The rank test
-    is lstsq's: the count of |R_ii| above eps * max(x.shape) * max|R_ii|.  A
-    taken fast path has min|R_ii| / max|R_ii| >= 1/kappa(x), far above that
-    tolerance, so it never changes the rank decision.
+    The rank test is lstsq's: the count of |R_ii| above
+    eps * max(x.shape) * max|R_ii|.
     """
-    qr = cholesky_qr2([x])
-    if qr is None:
-        q, r = np.linalg.qr(x)
-    else:
-        q, r = qr[0].rows(0, x.shape[0]), qr[1]
+    rows, k = x.shape
+    if rows < k:
+        raise RankDeficiencyError(f"{k} selected {what} have only {rows} entries")
+    q, r = qr_stack([x])
+    q = q.rows(0, rows)
     diag = np.abs(np.diag(r))
     tol = np.finfo(float).eps * max(x.shape) * diag.max(initial=0.0)
     rank = int(np.count_nonzero(diag > tol))
@@ -114,13 +108,8 @@ def middle_matrix(m, p, s):
     """Middle factor C^+ M R^+ for C = M(:, p), R = M(s, :).
 
     With C = Q_C R_C and R^T = Q_R R_R this is R_C^{-1} (Q_C^T M Q_R) R_R^{-T}:
-    two thin QRs, one product with M and two k-by-k solves.  Each QR is
-    ``linalg.cholesky_qr2`` on one block, whose Gram matrices and Cholesky
-    factors run at about 6x the flop rate of a Householder QR (measured at
-    2000-by-100).  Where it declines (a failed Cholesky, or a first pass
-    that loses more than ``CHOLQR_ORTH_TOL`` of orthogonality, kappa beyond
-    about 1e7) that factor goes by Householder QR, so an ill-conditioned or
-    rank-deficient C or R gets the same result and error message as before.
+    two thin QRs (``_full_rank_qr``), one product with M and two k-by-k
+    solves.
     """
     m = as_matrix(m)
     p = as_index_list(p, m.shape[1], "column indices")

@@ -6,12 +6,10 @@ The pair (A, B) with A m-by-n, B d-by-n is factored as
 
 with U, V orthonormal columns, Y n-by-n nonsingular, gamma_i^2 + beta_i^2 = 1
 and gamma_i / beta_i non-increasing.  The kernel route is a QR of the
-stacked matrix [B; A] = QR followed by an SVD of the A-block of Q (a
-CS-decomposition step), which costs O((m+d) n^2).  The QR goes by
-CholeskyQR2 (``linalg.cholesky_qr2``), all BLAS-3, and falls back to a
-Householder QR with Q in compact-WY form (``linalg.qr_stacked``) where
-CholeskyQR2 declines.  On either route only the A-block Q_A and the B-side
-product Q_B Z are formed, one gemm each, never the explicit (m+d)-by-n Q.
+stacked matrix [B; A] = QR (``linalg.qr_stack``, which picks the QR route)
+followed by an SVD of the A-block of Q (a CS-decomposition step), which
+costs O((m+d) n^2).  Only the A-block Q_A and the B-side product Q_B Z are
+formed, one gemm each.
 """
 from __future__ import annotations
 
@@ -23,8 +21,8 @@ from .linalg import (
     DimensionError,
     RankDeficiencyError,
     as_matrix,
-    cholesky_qr2,
-    qr_stacked,
+    qr_stack,
+    qr_thin,
 )
 from .selection import Method
 from .sketch import SketchConfig, range_finder
@@ -67,16 +65,10 @@ def _cs_gsvd(a, b, require_full_rank=True):
     a-side orthonormal factor has min(rows(a), n) columns; both inputs are
     reproduced exactly up to roundoff.
 
-    Route: [B; A] = QR with Q implicit; the SVD Q_A = W diag(gamma) Z^T of
+    Route: [B; A] = QR by ``qr_stack``; the SVD Q_A = W diag(gamma) Z^T of
     the formed A-block gives U = W and Y = R^T Z; the formed product
-    Q_B Z = V diag(beta) gives V and beta.  The QR is CholeskyQR2
-    (``cholesky_qr2``, Q_A = Q1_A R2^{-1} and Q_B Z = Q1_B (R2^{-1} Z)).
-    It falls back to Householder (``qr_stacked``) when CholeskyQR2 declines
-    (a failed Cholesky, kappa beyond about 1e7, an overflowing Gram matrix)
-    and when ``require_full_rank`` is False: such a stack may be singular,
-    and CholeskyQR2 has no R for it.  An accepted CholeskyQR2 has
-    min|R_ii| / max|R_ii| >= 1/kappa, far above the rank test's n * eps,
-    so the route never changes a rank decision.
+    Q_B Z = V diag(beta) gives V and beta.  ``require_full_rank`` gates
+    only the rank test on R.
 
     Both inputs must be 2-d float arrays with finite entries: every caller
     has validated or computed them, so they are not scanned again here.
@@ -89,8 +81,7 @@ def _cs_gsvd(a, b, require_full_rank=True):
     if a.shape[0] + b.shape[0] < n:
         raise DimensionError("stacked pair has fewer rows than columns")
     d, ra = b.shape[0], a.shape[0]
-    qr = cholesky_qr2([b, a]) if require_full_rank else None
-    q, r = qr_stacked([b, a]) if qr is None else qr
+    q, r = qr_stack([b, a])
     if require_full_rank:
         # relative to the largest pivot, so the decision ignores the scale
         diag = np.abs(np.diag(r))
@@ -110,14 +101,17 @@ def _cs_gsvd(a, b, require_full_rank=True):
     v[:, good] = vb[:, good] / beta[good]
     if small.any():
         # directions absent from B: fill V there with columns orthonormal to
-        # the good ones, from the Householder QR of those (d-by-n at most,
-        # never the d-by-d completion); beta stays (numerically) zero there.
-        # When B has fewer rows than columns the complement runs out; the
-        # leftover columns are zeroed (they never enter a reconstruction).
+        # the good ones.  Zero columns appended to the good ones give tau = 0
+        # in a Householder QR, so its trailing columns are the complement
+        # (d-by-n at most, never the d-by-d completion); beta stays
+        # (numerically) zero there.  When B has fewer rows than columns the
+        # complement runs out; the leftover columns are zeroed (they never
+        # enter a reconstruction).
         v[:, small] = 0.0
         fill = np.flatnonzero(small)[: max(d - int(good.sum()), 0)]
         if fill.size:
-            v[:, fill] = qr_stacked([v[:, good]])[0].complement(fill.size)
+            padded = np.hstack([v[:, good], np.zeros((d, fill.size))])
+            v[:, fill] = qr_thin(padded)[0][:, -fill.size:]
     y = r.T @ z
     if small.any():
         # beta = 0 pairs all share the saturated a-side value 1, so the SVD

@@ -6,19 +6,19 @@ the sketching layer.
 
 A matrix is validated once, by ``as_matrix``, where it enters the library:
 in the public function that receives it from the caller.  The kernels
-``qr_thin``, ``qr_stacked``, ``cholesky_qr2``, ``svd_thin``, ``two_norm``
+``qr_thin``, ``qr_stack``, ``cholesky_qr2``, ``svd_thin``, ``two_norm``
 and ``complete_orthonormal`` take only arrays their callers validated or
 computed, so they check shapes but do not scan the entries again.
 
-Two QR kernels factor a row stack of blocks without forming Q in full, and
-both return a Q whose ``rows(lo, hi, z=None)`` forms a row block of it or
-that block's product with an n-column matrix.  ``cholesky_qr2`` is the fast
-route, all BLAS-3 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44,
-2015); it declines (returns None) where it cannot be trusted, and the
-caller then runs the Householder route ``qr_stacked``.  On a 2-core
-OpenBLAS host a Householder QR (geqrf) of a 20000-by-200 block runs at
-about 10 GFLOP/s; the gemms CholeskyQR2 is built from run at about
-57 GFLOP/s.
+``qr_stack`` is the one place that picks how a row stack of blocks is
+QR-factored; the GSVD's stacked pair and the middle matrices' C and R^T
+all go through it.  It runs CholeskyQR2 (``cholesky_qr2``), all BLAS-3
+(Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44, 2015).  Where that
+declines (a failed Cholesky, kappa beyond about 1e7, an overflowing Gram
+matrix, a singular stack) it runs one Householder QR of the stack with an
+explicit Q.  On a 2-core OpenBLAS host a Householder QR (geqrf) of a
+20000-by-200 block runs at about 10 GFLOP/s; the gemms CholeskyQR2 is
+built from run at about 57 GFLOP/s.
 
 Every kernel calls NumPy's LAPACK and BLAS, never SciPy's: the two packages
 may each bundle their own OpenBLAS build, and when both are loaded their
@@ -36,11 +36,10 @@ __all__ = [
     "as_matrix",
     "as_index_list",
     "qr_thin",
-    "ImplicitQ",
-    "qr_stacked",
     "CHOLQR_ORTH_TOL",
     "CholeskyQ",
     "cholesky_qr2",
+    "qr_stack",
     "svd_thin",
     "two_norm",
     "relative_error",
@@ -51,7 +50,8 @@ __all__ = [
 
 
 # CholeskyQR2's first pass loses about kappa^2 * eps of orthogonality; past
-# this loss (kappa beyond about 1e7) it declines and Householder QR runs
+# this loss (kappa beyond about 1e7) it declines and ``qr_stack`` runs
+# Householder QR
 CHOLQR_ORTH_TOL = 1e-2
 
 
@@ -96,84 +96,23 @@ def qr_thin(a):
 
 
 @dataclass(frozen=True)
-class ImplicitQ:
-    """Q factor of a Householder QR, kept in compact-WY form.
-
-    Q = I - V T V^T (Schreiber & Van Loan, 1989), with V the m-by-n unit
-    lower-trapezoidal reflectors and T the n-by-n upper-triangular factor;
-    the thin factor is Q[:, :n].  ``w`` holds T V[:n]^T, so a row block of
-    the thin factor, or its product with an n-column matrix, costs one gemm
-    against the matching rows of V.
-    """
-
-    v: np.ndarray
-    t: np.ndarray
-    w: np.ndarray
-
-    def rows(self, lo, hi, z=None):
-        """Q[lo:hi], or Q[lo:hi] @ z when ``z`` (n rows) is given."""
-        n = self.v.shape[1]
-        top = min(hi, n)  # rows of the identity block I[:, :n] in range
-        if z is None:
-            out = -(self.v[lo:hi] @ self.w)
-            k = np.arange(lo, top)
-            out[k - lo, k] += 1.0
-        else:
-            out = -(self.v[lo:hi] @ (self.w @ z))
-            out[: max(top - lo, 0)] += z[lo:top]
-        return out
-
-    def complement(self, c):
-        """Q[:, n:n+c]: ``c`` orthonormal columns orthogonal to the thin factor."""
-        n = self.v.shape[1]
-        out = -(self.v @ (self.t @ self.v[n:n + c].T))
-        out[n:n + c] += np.eye(c)
-        return out
-
-
-def qr_stacked(blocks):
-    """Householder QR of the row stack of ``blocks``, with Q left implicit.
-
-    Returns (q, r): ``q`` an :class:`ImplicitQ` and ``r`` the n-by-n upper
-    triangular factor, bitwise equal to ``np.linalg.qr``'s (both run the
-    same geqrf).  The stack is freed once factored, and the reflectors are
-    turned into V in the factored buffer itself.  T comes from V^T V by the
-    column-by-column recursion of LAPACK's dlarft, which also covers
-    tau = 0 (a reflector that is the identity).  Requires rows >= cols.
-    """
-    x = np.vstack(blocks)
-    m, n = x.shape
-    if m < n:
-        raise DimensionError(f"qr_stacked needs rows >= cols, got {m}x{n}")
-    h, tau = np.linalg.qr(x, mode="raw")
-    del x
-    v = h.T  # m-by-n view of the factored buffer
-    r = np.triu(v[:n])
-    v[:n] = np.tril(v[:n], -1)
-    v[:n].flat[:: n + 1] = 1.0
-    g = v.T @ v
-    t = np.zeros((n, n))
-    for i in range(n):
-        t[i, i] = tau[i]
-        t[:i, i] = -tau[i] * (t[:i, :i] @ g[:i, i])
-    return ImplicitQ(v=v, t=t, w=t @ v[:n].T), r
-
-
-@dataclass(frozen=True)
 class CholeskyQ:
-    """Q factor of a CholeskyQR2, Q = Q1 R2^{-1}, kept as Q1 and R2^{-1}.
+    """Q factor of a stacked QR, Q = Q1 R2^{-1}, kept as Q1 and R2^{-1}.
 
     A row block of Q, or its product with an n-column matrix, costs one
-    gemm against the matching rows of Q1; Q itself is never formed.
+    gemm against the matching rows of Q1; on the CholeskyQR2 route Q itself
+    is never formed.  The Householder route has Q = Q1 and no right factor
+    (``r2_inv`` None).
     """
 
     q1: np.ndarray
-    r2_inv: np.ndarray
+    r2_inv: np.ndarray | None = None
 
     def rows(self, lo, hi, z=None):
         """Q[lo:hi], or Q[lo:hi] @ z when ``z`` (n rows) is given."""
-        right = self.r2_inv if z is None else self.r2_inv @ z
-        return self.q1[lo:hi] @ right
+        if self.r2_inv is not None:
+            z = self.r2_inv if z is None else self.r2_inv @ z
+        return self.q1[lo:hi] if z is None else self.q1[lo:hi] @ z
 
 
 def cholesky_qr2(blocks):
@@ -185,9 +124,8 @@ def cholesky_qr2(blocks):
     ``q`` a :class:`CholeskyQ` and ``r`` the n-by-n upper-triangular
     factor.  Declines (None) when the stack has fewer rows than columns, a
     Cholesky fails, the Gram matrix overflows, or ||Q1^T Q1 - I||_F
-    exceeds ``CHOLQR_ORTH_TOL``.  Where it accepts, min|R_ii| / max|R_ii|
-    >= 1/kappa, so a rank test on R decides as it would on the Householder
-    R.  The inverses are of triangular factors, whose LU needs no pivoting.
+    exceeds ``CHOLQR_ORTH_TOL``.  The inverses are of triangular factors,
+    whose LU needs no pivoting.
     """
     m, n = sum(x.shape[0] for x in blocks), blocks[0].shape[1]
     if m < n:
@@ -211,6 +149,23 @@ def cholesky_qr2(blocks):
     return CholeskyQ(q1=q1, r2_inv=np.linalg.inv(r2)), r2 @ r1
 
 
+def qr_stack(blocks):
+    """Thin QR of the row stack of ``blocks``: (q, r) with q a :class:`CholeskyQ`.
+
+    The only place that picks the QR route.  CholeskyQR2 where it accepts
+    the stack; otherwise one Householder QR (``qr_thin``) of the stack with
+    Q formed explicitly, r then bitwise equal to ``np.linalg.qr``'s.  A
+    numerically singular stack makes CholeskyQR2 decline, and an accepted
+    one has min|R_ii| / max|R_ii| >= 1/kappa, so a rank test on r decides
+    as it would on the Householder r.  Requires rows >= cols.
+    """
+    qr = cholesky_qr2(blocks)
+    if qr is not None:
+        return qr
+    q, r = qr_thin(np.vstack(blocks))
+    return CholeskyQ(q1=q), r
+
+
 def svd_thin(a):
     """Thin SVD: returns (U, s, V) with A = U @ diag(s) @ V.T, s non-increasing."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
@@ -218,10 +173,19 @@ def svd_thin(a):
 
 
 def two_norm(a):
-    """Spectral norm (largest singular value)."""
-    if a.size == 0:
+    """Spectral norm (largest singular value), s * sqrt(lambda_max(x^T x)).
+
+    x = a / s with s = max|a_ij|, so the Gram matrix, taken on the smaller
+    side, can neither overflow nor underflow.  sigma_max is well conditioned,
+    so squaring costs it no relative accuracy, and at 2000-by-300 this runs
+    about 3x faster than an SVD on a 2-core OpenBLAS host.
+    """
+    s = np.abs(a).max(initial=0.0)
+    if s == 0.0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    x = a / s
+    gram = x.T @ x if x.shape[0] >= x.shape[1] else x @ x.T
+    return float(s * np.sqrt(np.linalg.eigvalsh(gram)[-1]))
 
 
 def relative_error(a, ahat):

@@ -20,6 +20,7 @@ __all__ = [
     "deim_select",
     "ldeim_select",
     "default_khat",
+    "check_rank",
     "leading_columns",
     "select_indices",
     "deim_growth_bound",
@@ -128,6 +129,15 @@ def default_khat(k):
     return max(1, -(-k // 2))
 
 
+def check_rank(k, khat=None):
+    """Refuse a target rank k < 1, or an L-DEIM budget khat outside 1..k."""
+    if k < 1:
+        raise ValueError(f"target rank k must be >= 1, got {k}")
+    if khat is not None and not 1 <= khat <= k:
+        raise ValueError(f"L-DEIM budget must satisfy 1 <= khat <= k={k}, "
+                         f"got {khat}")
+
+
 def leading_columns(k, method, khat=None):
     """Basis columns a rank-k selection reads: k for DEIM, khat for L-DEIM."""
     if method is Method.DEIM:
@@ -138,9 +148,11 @@ def leading_columns(k, method, khat=None):
 def select_indices(basis, k, method=Method.DEIM, khat=None):
     """``k`` row indices of ``basis`` by DEIM or L-DEIM on its leading columns.
 
-    Raises ValueError when the basis has fewer columns than the selection
-    reads, instead of silently selecting from a narrower basis.
+    Raises ValueError for a k or khat that ``check_rank`` refuses, and when
+    the basis has fewer columns than the selection reads, instead of
+    silently selecting from a narrower basis.
     """
+    check_rank(k, khat)
     width = leading_columns(k, method, khat)
     if width > basis.shape[1]:
         raise ValueError(

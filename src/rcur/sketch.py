@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, qr_thin
-from .selection import Method, default_khat, leading_columns
+from .selection import Method, check_rank, default_khat, leading_columns
 
 __all__ = ["SketchConfig", "gaussian_matrix", "range_finder", "split_seed"]
 
@@ -28,15 +28,12 @@ class SketchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.target_rank < 1:
-            raise ValueError("target_rank must be >= 1")
+        check_rank(self.target_rank, self.ldeim_budget)
         if self.oversampling < 0:
             raise ValueError("oversampling must be >= 0")
         if self.ldeim_budget is None:
             object.__setattr__(self, "ldeim_budget",
                                default_khat(self.target_rank))
-        if not 1 <= self.ldeim_budget <= self.target_rank:
-            raise ValueError("ldeim_budget must satisfy 1 <= khat <= k")
 
     def width(self, method: Method):
         """Sketch width for ``method``: the basis columns it reads plus p,

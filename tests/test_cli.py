@@ -258,6 +258,19 @@ def test_numerical_failure_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["-k", "0"], ["-k", "-2"], ["-k", "3", "--method", "ldeim", "--khat", "0"],
+], ids=["k=0", "k=-2", "khat=0"])
+def test_cur_bad_rank_exits_one(flags, tmp_path, capsys):
+    pa = tmp_path / "a.csv"
+    np.savetxt(pa, np.random.default_rng(3).standard_normal((50, 20)),
+               delimiter=",")
+    report = tmp_path / "cur.csv"
+    assert run(["cur", "--a", str(pa), "--report", str(report), *flags]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_missing_file_exits_one(tmp_path, capsys):
     code = run(["gsvd", "--a", str(tmp_path / "nope.mtx"),
                 "--b", str(tmp_path / "nope.mtx"),

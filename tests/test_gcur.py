@@ -44,6 +44,9 @@ def test_middle_matrix_rank_deficient_rows():
     with pytest.raises(RankDeficiencyError,
                        match=r"rows have numerical rank 1 < k=2 \(tol \S+\)"):
         middle_matrix(a, [0, 1], [1, 5])
+    # 7 rows of a 6-column matrix can never be independent
+    with pytest.raises(RankDeficiencyError):
+        middle_matrix(a, [0, 1], np.arange(7))
 
 
 def middle_matrix_input(k, kappa=None):

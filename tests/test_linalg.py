@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rcur
-import rcur.gsvd
+import rcur.linalg
 from rcur.gsvd import _cs_gsvd, gsvd
 from rcur.linalg import (
     DimensionError,
@@ -18,7 +18,7 @@ from rcur.linalg import (
     as_matrix,
     cholesky_qr2,
     complete_orthonormal,
-    qr_stacked,
+    qr_stack,
     qr_thin,
     select_columns,
     select_rows,
@@ -67,34 +67,52 @@ def conditioned(rng, m, n, cond):
     return (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.T
 
 
+@pytest.fixture
+def householder_route(monkeypatch):
+    """``qr_stack`` with CholeskyQR2 declining, so its Householder route runs."""
+    monkeypatch.setattr(rcur.linalg, "cholesky_qr2", lambda blocks: None)
+
+
+# the rounding in W^T W - I grows with the rows of the stack; on 40- and
+# 150-row B over a 3000-row A (rng seeds 0-19) both routes measured up to
+# 2 * rows * eps, so the bound ORTH_CONST * rows * eps leaves a margin of 5
+ORTH_CONST = 10
+
+
+def assert_orthonormal(w, rows):
+    err = np.abs(w.T @ w - np.eye(w.shape[1])).max()
+    assert err <= ORTH_CONST * rows * np.finfo(float).eps
+
+
 def check_against_explicit_q(b, a):
-    """qr_stacked against np.linalg.qr of the explicit stack [B; A]."""
+    """qr_stack's Householder route against np.linalg.qr of the stack [B; A]."""
     d, n = b.shape
+    rows = d + a.shape[0]
     q_ref, r_ref = np.linalg.qr(np.vstack([b, a]))
-    q, r = qr_stacked([b, a])
+    q, r = qr_stack([b, a])
     assert np.array_equal(r, r_ref)
     # the two products the GSVD kernel forms: the A-block and Q_B Z
-    qa = q.rows(d, d + a.shape[0])
-    assert np.abs(qa - q_ref[d:]).max() <= 1e-13
+    qa = q.rows(d, rows)
+    assert np.array_equal(qa, q_ref[d:])
     _, _, zt = np.linalg.svd(qa, full_matrices=a.shape[0] < n)
     assert np.abs(q.rows(0, d, zt.T) - q_ref[:d] @ zt.T).max() <= 1e-13
     # and the GSVD factors built from them stay orthonormal
     f = _cs_gsvd(a, b, require_full_rank=False)
-    v = f.v[:, ~f.small_beta]
-    assert np.abs(f.u.T @ f.u - np.eye(f.u.shape[1])).max() <= 1e-13
-    assert np.abs(v.T @ v - np.eye(v.shape[1])).max() <= 1e-13
+    assert_orthonormal(f.u, rows)
+    assert_orthonormal(f.v[:, ~f.small_beta], rows)
 
 
 @pytest.mark.parametrize("cond", [1e4, 1e8, 1e11])
-def test_qr_stacked_matches_explicit_q(cond):
+def test_qr_stack_householder_matches_explicit_q(cond, householder_route):
     rng = np.random.default_rng(5)
     x = conditioned(rng, 5500, 120, cond)
     check_against_explicit_q(x[:2500], x[2500:])
 
 
-def test_qr_stacked_short_top_block_and_sketched_a():
+def test_qr_stack_householder_short_top_block_and_sketched_a(
+        householder_route):
     rng = np.random.default_rng(6)
-    # B with fewer rows than columns: Q_B Z keeps rows of the identity block
+    # B with fewer rows than columns
     check_against_explicit_q(rng.standard_normal((40, 120)),
                              rng.standard_normal((3000, 120)))
     # a sketched A (Q^T A) has fewer rows than columns
@@ -102,7 +120,7 @@ def test_qr_stacked_short_top_block_and_sketched_a():
                              rng.standard_normal((25, 120)))
 
 
-def test_qr_stacked_identity_reflector():
+def test_qr_stack_householder_identity_reflector(householder_route):
     # a column already in R form gives tau = 0, a reflector that is I
     x = np.vstack([np.eye(3), np.ones((4, 3))])
     x[:, 0] = 0.0
@@ -110,11 +128,11 @@ def test_qr_stacked_identity_reflector():
     _, tau = np.linalg.qr(x, mode="raw")
     assert tau[0] == 0.0
     q_ref, r_ref = np.linalg.qr(x)
-    q, r = qr_stacked([x[:2], x[2:]])
+    q, r = qr_stack([x[:2], x[2:]])
     assert np.array_equal(r, r_ref)
-    assert np.allclose(q.rows(0, 7), q_ref, atol=1e-14)
+    assert np.array_equal(q.rows(0, 7), q_ref)
     with pytest.raises(DimensionError):
-        qr_stacked([np.ones((1, 3)), np.ones((1, 3))])
+        qr_stack([np.ones((1, 3)), np.ones((1, 3))])
 
 
 def test_cholesky_qr2_factors_a_row_stack():
@@ -161,11 +179,21 @@ def test_gsvd_stack_falls_back_to_one_householder_qr(householder_shapes):
     x = conditioned(rng, 5500, 120, 1e10)
     gsvd(x[2500:], x[:2500])
     assert householder_shapes == [(5500, 120)]
-    # a stack that may be singular never tries CholeskyQR2
+    # without the rank test a full-rank stack still takes CholeskyQR2
     householder_shapes.clear()
     x = rng.standard_normal((5500, 120))
     _cs_gsvd(x[2500:], x[:2500], require_full_rank=False)
+    assert householder_shapes == []
+    # a singular stack makes CholeskyQR2 decline quietly, and the one
+    # Householder QR still reproduces both matrices
+    x[:, 7] = 0.0
+    b, a = x[:2500], x[2500:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = _cs_gsvd(a, b, require_full_rank=False)
     assert householder_shapes == [(5500, 120)]
+    for got, want in ((f.reconstruct_a(), a), (f.reconstruct_b(), b)):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])
@@ -180,7 +208,7 @@ def test_gsvd_cholesky_route_matches_householder_route(cond, monkeypatch):
         assert cholesky_qr2([b, a]) is not None
         f = _cs_gsvd(a, b)
         with monkeypatch.context() as m:
-            m.setattr(rcur.gsvd, "cholesky_qr2", lambda blocks: None)
+            m.setattr(rcur.linalg, "cholesky_qr2", lambda blocks: None)
             ref = _cs_gsvd(a, b)
         assert np.abs(f.gamma - ref.gamma).max() <= 10 * cond * eps
         assert np.abs(f.beta - ref.beta).max() <= 10 * cond * eps
@@ -199,10 +227,19 @@ def test_svd_thin_reconstructs():
 
 
 def test_two_norm_matches_numpy():
+    # the squares of 1e160 overflow and of 1e-200 underflow unless the
+    # Gram matrix is formed on a / max|a_ij|.  Against the SVD's value the
+    # relative gap measured up to 11 eps (rng seeds 0-19, shapes up to
+    # 10000-by-200 and 300-by-2000, all three scales); the bound is 32 eps
     rng = np.random.default_rng(3)
-    a = rng.standard_normal((7, 5))
-    assert np.isclose(two_norm(a), np.linalg.norm(a, 2))
-    assert two_norm(np.zeros((4, 4))) == 0.0
+    for shape in ((7, 5), (2000, 300), (5, 40)):  # small, tall, wide
+        x = rng.standard_normal(shape)
+        for scale in (1.0, 1e160, 1e-200):
+            want = np.linalg.norm(scale * x, 2)
+            got = two_norm(scale * x)
+            assert abs(got - want) <= 32 * np.finfo(float).eps * want
+    assert two_norm(np.zeros((4, 6))) == 0.0
+    assert two_norm(np.zeros((0, 3))) == 0.0
 
 
 def test_select_columns_and_rows_preserve_order():

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcur.cur import deim_cur
+from rcur.gcur import gcur_deterministic
 from rcur.linalg import RankDeficiencyError
+from rcur.rsvd_cur import rsvd_cur
 from rcur.selection import (
     Method,
     SelectionResult,
@@ -176,6 +179,28 @@ def test_select_indices_rejects_rank_above_basis_width():
         select_indices(v, 10, Method.LDEIM, khat=5)
     # L-DEIM reads only khat columns, so k may exceed the basis width
     assert len(select_indices(v, 10, Method.LDEIM, khat=4)) == 10
+
+
+RNG = np.random.default_rng(30)
+# A (50x20) alone and in the pair (A, B 20x20); a triplet (A 10x8, B 10x30,
+# G 20x8) with l >= d >= m >= n
+A, B = RNG.standard_normal((50, 20)), RNG.standard_normal((20, 20))
+TA, TB, TG = (RNG.standard_normal(s) for s in ((10, 8), (10, 30), (20, 8)))
+
+
+@pytest.mark.parametrize("k,method,khat", [
+    (0, Method.DEIM, None), (-2, Method.DEIM, None), (3, Method.LDEIM, 0),
+], ids=["k=0", "k=-2", "khat=0"])
+@pytest.mark.parametrize("call", [
+    lambda *rank: deim_cur(A, *rank),
+    lambda *rank: gcur_deterministic(A, B, *rank),
+    lambda *rank: rsvd_cur(TA, TB, TG, *rank),
+], ids=["deim_cur", "gcur_deterministic", "rsvd_cur"])
+def test_bad_rank_or_budget_is_refused(call, k, method, khat):
+    # unchecked, k = -2 selects 18 indices, k = 0 fails with an IndexError
+    # and khat = 0 returns rows 0, 1, 2 whatever the data
+    with pytest.raises(ValueError, match=r"k must be >= 1|1 <= khat <= k"):
+        call(k, method, khat)
 
 
 def test_growth_bound_value():
