@@ -37,7 +37,6 @@ from .rsvd_cur import (
     rsvdcur_bound,
 )
 from .selection import (
-    Method,
     SelectionResult,
     deim_select,
     ldeim_select,
@@ -59,7 +58,6 @@ __all__ = [
     "GcurBound",
     "GcurFactors",
     "GsvdFactors",
-    "Method",
     "RankDeficiencyError",
     "RsvdCurBound",
     "RsvdCurFactors",

@@ -21,7 +21,6 @@ from .cur import deim_cur
 from .gcur import gcur_from_factors, r_deim_gcur, r_ldeim_gcur
 from .gsvd import gsvd
 from .rsvd_cur import r_ldeim_rsvd_cur, rsvd_cur
-from .selection import Method
 from .sketch import SketchConfig, split_seed
 from .synth import bfg_perturb, example_weights, sparse_lowrank, toeplitz_noise
 
@@ -102,7 +101,7 @@ def exp4_run(ell, d, m, k, epsilon, oversampling, seeds, khats=None):
         a, a_e, b, g = exp4_instance(ell, d, m, epsilon, seed)
         norm_a = np.linalg.norm(a, 2)
 
-        fac, ms = _timed(rsvd_cur, a_e, b, g, k, Method.DEIM)
+        fac, ms = _timed(rsvd_cur, a_e, b, g, k)
         err = np.linalg.norm(a - fac.reconstruct_a(a_e), 2) / norm_a
         rows.append({
             "experiment": "exp4", "l": ell, "d": d, "m": m, "eps": epsilon,

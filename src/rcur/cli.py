@@ -21,13 +21,13 @@ import numpy as np
 
 from . import bench
 from .cur import deim_cur
-from .gcur import gcur_deterministic, gcur_error, r_deim_gcur, r_ldeim_gcur
+from .gcur import gcur_deterministic, gcur_error, r_ldeim_gcur
 from .gsvd import gsvd, randomized_gsvd
 from .io import read_csv, read_matrix, write_matrix
 from .linalg import relative_error
 from .rsvd import randomized_rsvd, rsvd_deterministic
-from .rsvd_cur import r_ldeim_rsvd_cur, rsvd_cur, rsvd_cur_from_factors
-from .selection import Method
+from .rsvd_cur import r_ldeim_rsvd_cur, rsvd_cur
+from .selection import default_khat
 from .sketch import SketchConfig
 from .synth import sparse_lowrank, subgroup_data
 
@@ -58,16 +58,25 @@ def _read(path):
     return read_matrix(path)
 
 
+def _khat(args):
+    """Basis columns the selection reads: k for ``--method deim``, else
+    ``--khat`` (default ceil(k/2)).  Every report's khat column gives it."""
+    if args.method == "deim":
+        return args.k
+    return default_khat(args.k) if args.khat is None else args.khat
+
+
 def _config(args):
-    """The run's sketch parameters; ``SketchConfig`` fills in the default khat."""
-    return SketchConfig(args.k, args.oversampling, ldeim_budget=args.khat,
+    """Sketch parameters of a randomized run, its budget from ``_khat``."""
+    return SketchConfig(args.k, args.oversampling, ldeim_budget=_khat(args),
                         seed=args.seed)
 
 
 def _cmd_gsvd(args):
     a, b = _read(args.a), _read(args.b)
     if args.randomized:
-        factors, _ = randomized_gsvd(a, b, _config(args), Method(args.method))
+        cfg = _config(args)
+        factors, _ = randomized_gsvd(a, b, cfg, cfg.ldeim_budget)
     else:
         factors = gsvd(a, b)
     write_matrix(f"{args.out_prefix}_U.mtx", factors.u)
@@ -85,7 +94,8 @@ def _cmd_gsvd(args):
 def _cmd_rsvd(args):
     a, b, g = _read(args.a), _read(args.b), _read(args.g)
     if args.randomized:
-        factors = randomized_rsvd(a, b, g, _config(args), Method(args.method))
+        cfg = _config(args)
+        factors = randomized_rsvd(a, b, g, cfg, cfg.ldeim_budget)
     else:
         factors = rsvd_deterministic(a, b, g)
     write_matrix(f"{args.out_prefix}_Z.mtx", factors.z)
@@ -102,14 +112,14 @@ def _cmd_rsvd(args):
 
 def _cmd_cur(args):
     a = _read(args.a)
+    khat = _khat(args)
     t0 = time.perf_counter()
-    fac = deim_cur(a, args.k, Method(args.method), args.khat)
+    fac = deim_cur(a, args.k, khat)
     wall_ms = (time.perf_counter() - t0) * 1e3
     err = relative_error(a, fac.reconstruct(a))
     rows = [{
-        "method": args.method, "k": args.k,
-        "khat": args.khat if args.khat is not None else "",
-        "p": "", "seed": "", "err_a": err, "err_b": "", "wall_ms": wall_ms,
+        "method": args.method, "k": args.k, "khat": khat, "p": "", "seed": "",
+        "err_a": err, "err_b": "", "wall_ms": wall_ms,
         "indices_p": _join_indices(fac.p), "indices_s": _join_indices(fac.s),
     }]
     _write_report(args.report, rows, list(rows[0]))
@@ -118,18 +128,15 @@ def _cmd_cur(args):
 
 def _cmd_gcur(args):
     a, b = _read(args.a), _read(args.b)
-    cfg = _config(args)
-    method = Method(args.method)
+    khat = _khat(args)
     t0 = time.perf_counter()
-    if not args.randomized:
-        fac = gcur_deterministic(a, b, args.k, method, cfg.ldeim_budget)
-    elif method is Method.LDEIM:
-        fac = r_ldeim_gcur(a, b, cfg)
+    if args.randomized:
+        fac = r_ldeim_gcur(a, b, _config(args))
     else:
-        fac = r_deim_gcur(a, b, cfg)
+        fac = gcur_deterministic(a, b, args.k, khat)
     wall_ms = (time.perf_counter() - t0) * 1e3
     rows = [{
-        "method": args.method, "k": args.k, "khat": cfg.ldeim_budget,
+        "method": args.method, "k": args.k, "khat": khat,
         "p": args.oversampling if args.randomized else "",
         "seed": args.seed if args.randomized else "",
         "err_a": gcur_error(a, fac),
@@ -145,20 +152,15 @@ def _cmd_gcur(args):
 
 def _cmd_rsvd_cur(args):
     a, b, g = _read(args.a), _read(args.b), _read(args.g)
-    cfg = _config(args)
-    method = Method(args.method)
+    khat = _khat(args)
     t0 = time.perf_counter()
-    if not args.randomized:
-        fac = rsvd_cur(a, b, g, args.k, method, cfg.ldeim_budget)
-    elif method is Method.LDEIM:
-        fac = r_ldeim_rsvd_cur(a, b, g, cfg)
+    if args.randomized:
+        fac = r_ldeim_rsvd_cur(a, b, g, _config(args))
     else:
-        # no randomized DEIM entry point: (k+p)-wide sketch, DEIM selection
-        fac = rsvd_cur_from_factors(a, b, g, randomized_rsvd(a, b, g, cfg),
-                                    args.k)
+        fac = rsvd_cur(a, b, g, args.k, khat)
     wall_ms = (time.perf_counter() - t0) * 1e3
     rows = [{
-        "method": args.method, "k": args.k, "khat": cfg.ldeim_budget,
+        "method": args.method, "k": args.k, "khat": khat,
         "p": args.oversampling if args.randomized else "",
         "seed": args.seed if args.randomized else "",
         "err_a": relative_error(a, fac.reconstruct_a(a)),
@@ -231,7 +233,8 @@ def _build_parser():
         p.add_argument("-k", type=int, required=k_required, default=None,
                        help="target rank")
         p.add_argument("--khat", type=int, default=None,
-                       help="L-DEIM basis budget (default ceil(k/2))")
+                       help="L-DEIM basis budget, with --method ldeim "
+                            "(default ceil(k/2))")
         p.add_argument("--method", choices=["deim", "ldeim"], default="deim")
 
     def add_rand_flags(p, k_required=False):
@@ -329,6 +332,8 @@ def run(argv=None):
     if getattr(args, "needs_k_if_randomized", False):
         if args.randomized and args.k is None:
             parser.error(f"{args.command}: --randomized requires -k")
+    if getattr(args, "khat", None) is not None and args.method != "ldeim":
+        parser.error(f"{args.command}: --khat requires --method ldeim")
     try:
         return args.func(args)
     except (np.linalg.LinAlgError, ValueError, OSError) as exc:

@@ -7,7 +7,7 @@ import numpy as np
 
 from .linalg import as_matrix, select_columns, select_rows, svd_thin
 from .gcur import middle_matrix
-from .selection import Method, select_indices
+from .selection import select_indices
 
 __all__ = ["CurFactors", "deim_cur"]
 
@@ -23,10 +23,11 @@ class CurFactors:
         return select_columns(a, self.p) @ self.m @ select_rows(a, self.s)
 
 
-def deim_cur(a, k, method=Method.DEIM, khat=None):
-    """Rank-k CUR with indices from DEIM (or L-DEIM) on the singular vectors."""
+def deim_cur(a, k, khat=None):
+    """Rank-k CUR with indices from DEIM (L-DEIM given a budget ``khat``) on
+    the singular vectors."""
     a = as_matrix(a)
     u, _, v = svd_thin(a)
-    p = select_indices(v, k, method, khat)
-    s = select_indices(u, k, method, khat)
+    p = select_indices(v, k, khat)
+    s = select_indices(u, k, khat)
     return CurFactors(p=p, s=s, m=middle_matrix(a, p, s), k=k)

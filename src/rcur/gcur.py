@@ -5,16 +5,16 @@ index vector p and per-matrix row index vectors:
 
     A ~= A(:, p) M_A A(s_A, :),    B ~= B(:, p) M_B B(s_B, :).
 
-Indices come from DEIM or L-DEIM applied to the (possibly sketched) GSVD
-factors; middle matrices come from thin QRs of C and R^T and two k-by-k
-solves, never an explicit pseudoinverse.
+Indices come from L-DEIM (DEIM when khat is None) applied to the (possibly
+sketched) GSVD factors; middle matrices come from thin QRs of C and R^T and
+two k-by-k solves, never an explicit pseudoinverse.
 
 Those thin QRs go by ``linalg.qr_stack``, the kernel the GSVD's stacked QR
 also runs and the one place that picks the QR route.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import warnings
 
 import numpy as np
@@ -31,7 +31,7 @@ from .linalg import (
     two_norm,
 )
 from .gsvd import GsvdFactors, gsvd, randomized_gsvd
-from .selection import Method, deim_growth_bound, leading_columns, select_indices
+from .selection import deim_growth_bound, leading_columns, select_indices
 from .sketch import SketchConfig
 
 __all__ = [
@@ -120,19 +120,18 @@ def middle_matrix(m, p, s):
     return np.linalg.solve(r_r, np.linalg.solve(r_c, core).T).T
 
 
-def gcur_from_factors(a, b, factors: GsvdFactors, k, method=Method.DEIM,
-                      khat=None):
+def gcur_from_factors(a, b, factors: GsvdFactors, k, khat=None):
     """Build GCUR indices and middle matrices from precomputed GSVD factors.
 
     Warns when a generalized-value ratio gamma/beta among the pairs the
     selection reads falls below ``RATIO_WARN_TOL``.
     """
-    p = select_indices(factors.y, k, method, khat)
-    s_a = select_indices(factors.u, k, method, khat)
-    s_b = select_indices(factors.v, k, method, khat)
+    p = select_indices(factors.y, k, khat)
+    s_a = select_indices(factors.u, k, khat)
+    s_b = select_indices(factors.v, k, khat)
     fac = GcurFactors(p=p, s_a=s_a, m_a=middle_matrix(a, p, s_a), k=k,
                       s_b=s_b, m_b=middle_matrix(b, p, s_b))
-    used = leading_columns(k, method, khat)
+    used = leading_columns(k, khat)
     ratios = factors.gamma[:used] / np.maximum(factors.beta[:used], 1e-300)
     if np.any(ratios < RATIO_WARN_TOL):
         warnings.warn(
@@ -143,22 +142,20 @@ def gcur_from_factors(a, b, factors: GsvdFactors, k, method=Method.DEIM,
     return fac
 
 
-def gcur_deterministic(a, b, k, method=Method.DEIM, khat=None):
+def gcur_deterministic(a, b, k, khat=None):
     """Rank-k GCUR from the full GSVD of (A, B)."""
-    return gcur_from_factors(a, b, gsvd(a, b), k, method, khat)
+    return gcur_from_factors(a, b, gsvd(a, b), k, khat)
 
 
 def r_deim_gcur(a, b, cfg: SketchConfig):
-    """Randomized DEIM-GCUR: DEIM on a (k+p)-wide sketched GSVD."""
-    factors, _ = randomized_gsvd(a, b, cfg)
-    return gcur_from_factors(a, b, factors, cfg.target_rank, Method.DEIM)
+    """Randomized DEIM-GCUR: ``r_ldeim_gcur`` with the budget set to k."""
+    return r_ldeim_gcur(a, b, replace(cfg, ldeim_budget=cfg.target_rank))
 
 
 def r_ldeim_gcur(a, b, cfg: SketchConfig):
     """Randomized L-DEIM GCUR: khat-wide sketch, L-DEIM extends to k indices."""
-    factors, _ = randomized_gsvd(a, b, cfg, Method.LDEIM)
-    return gcur_from_factors(a, b, factors, cfg.target_rank, Method.LDEIM,
-                             khat=cfg.ldeim_budget)
+    factors, _ = randomized_gsvd(a, b, cfg, cfg.ldeim_budget)
+    return gcur_from_factors(a, b, factors, cfg.target_rank, cfg.ldeim_budget)
 
 
 def gcur_error(a, factors: GcurFactors):

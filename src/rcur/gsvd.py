@@ -24,7 +24,6 @@ from .linalg import (
     qr_stack,
     qr_thin,
 )
-from .selection import Method
 from .sketch import SketchConfig, range_finder
 
 __all__ = ["GsvdFactors", "gsvd", "randomized_gsvd", "BETA_ZERO_TOL"]
@@ -140,17 +139,17 @@ def gsvd(a, b):
     return _cs_gsvd(a, b)
 
 
-def randomized_gsvd(a, b, cfg: SketchConfig, method=Method.DEIM):
+def randomized_gsvd(a, b, cfg: SketchConfig, khat=None):
     """Randomized GSVD: exact GSVD of (Q Q^T A, B) on a sketched range of A.
 
     Returns (factors, q) where q is the m-by-w range basis of A from
-    ``range_finder``: w is ``cfg.width(method)`` (k + p for DEIM, khat + p
-    for L-DEIM), capped at min(m, n).  The U factor has w columns; B is
-    factored exactly, A only through its projection onto range(q), which at
-    the cap is A itself.
+    ``range_finder``: w is ``cfg.width(khat)``, the khat (k when None)
+    basis columns the selection reads plus p, capped at min(m, n).  The U
+    factor has w columns; B is factored exactly, A only through its
+    projection onto range(q), which at the cap is A itself.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
-    q = range_finder(a, cfg.width(method), cfg.seed)
+    q = range_finder(a, cfg.width(khat), cfg.seed)
     factors = _cs_gsvd(q.T @ a, b)
     return replace(factors, u=q @ factors.u), q

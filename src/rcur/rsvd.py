@@ -27,7 +27,6 @@ from .linalg import (
     complete_orthonormal,
 )
 from .gsvd import _cs_gsvd
-from .selection import Method
 from .sketch import SketchConfig, range_finder, split_seed
 
 __all__ = ["RsvdFactors", "rsvd_deterministic", "randomized_rsvd"]
@@ -143,12 +142,13 @@ def rsvd_deterministic(a, b, g):
                    v=complete_orthonormal(factors.v))
 
 
-def randomized_rsvd(a, b, g, cfg: SketchConfig, method=Method.DEIM):
+def randomized_rsvd(a, b, g, cfg: SketchConfig, khat=None):
     """Randomized RSVD: both inner GSVDs act on sketched projections.
 
     Both sketches come from ``range_finder``, never wider than the matrix
     they compress: G at full width n (so Sigma_1 stays square), and the
-    l-by-m product B^T U_1 at ``cfg.width(method)`` columns, raised to at
+    l-by-m product B^T U_1 at ``cfg.width(khat)`` columns (the khat, or k
+    when None, basis columns the selection reads plus p), raised to at
     least m - n + 1 so the reduced pair stays well posed.
     """
     a, b, g = _check_triplet(a, b, g)
@@ -162,6 +162,6 @@ def randomized_rsvd(a, b, g, cfg: SketchConfig, method=Method.DEIM):
 
     x = _sigma_inv_gamma_t(f1, m)
     bt_u1 = b.T @ u1_full
-    h2 = range_finder(bt_u1, max(cfg.width(method), m - n + 1), seed2)
+    h2 = range_finder(bt_u1, max(cfg.width(khat), m - n + 1), seed2)
     f2 = _cs_gsvd(x, h2.T @ bt_u1, require_full_rank=False)
     return _assemble(f1, u1_full, f2, h2 @ f2.v)

@@ -16,7 +16,7 @@ import numpy as np
 from .linalg import as_matrix, qr_thin, select_columns, select_rows, svd_thin, two_norm
 from .gcur import middle_matrix, sketch_tail_bound
 from .rsvd import RsvdFactors, randomized_rsvd, rsvd_deterministic
-from .selection import Method, deim_growth_bound, select_indices
+from .selection import deim_growth_bound, select_indices
 from .sketch import SketchConfig
 
 __all__ = [
@@ -74,13 +74,12 @@ def _carrying_columns(u):
     return u[:, norms > 0.5]
 
 
-def rsvd_cur_from_factors(a, b, g, factors: RsvdFactors, k,
-                          method=Method.DEIM, khat=None):
+def rsvd_cur_from_factors(a, b, g, factors: RsvdFactors, k, khat=None):
     """Select indices from RSVD factors (W -> p, Z -> s, U -> p_B, V -> s_G)."""
-    p = select_indices(factors.w, k, method, khat)
-    s = select_indices(factors.z, k, method, khat)
-    p_b = select_indices(_carrying_columns(factors.u), k, method, khat)
-    s_g = select_indices(factors.v, k, method, khat)
+    p = select_indices(factors.w, k, khat)
+    s = select_indices(factors.z, k, khat)
+    p_b = select_indices(_carrying_columns(factors.u), k, khat)
+    s_g = select_indices(factors.v, k, khat)
     return RsvdCurFactors(
         p=p, p_b=p_b, s=s, s_g=s_g,
         m_a=middle_matrix(a, p, s),
@@ -90,17 +89,17 @@ def rsvd_cur_from_factors(a, b, g, factors: RsvdFactors, k,
     )
 
 
-def rsvd_cur(a, b, g, k, method=Method.DEIM, khat=None):
+def rsvd_cur(a, b, g, k, khat=None):
     """Rank-k RSVD-CUR from the deterministic (full-factor) RSVD."""
     factors = rsvd_deterministic(a, b, g)
-    return rsvd_cur_from_factors(a, b, g, factors, k, method, khat)
+    return rsvd_cur_from_factors(a, b, g, factors, k, khat)
 
 
 def r_ldeim_rsvd_cur(a, b, g, cfg: SketchConfig):
     """Randomized L-DEIM RSVD-CUR: khat-wide second sketch, k indices."""
-    factors = randomized_rsvd(a, b, g, cfg, Method.LDEIM)
+    factors = randomized_rsvd(a, b, g, cfg, cfg.ldeim_budget)
     return rsvd_cur_from_factors(a, b, g, factors, cfg.target_rank,
-                                 Method.LDEIM, khat=cfg.ldeim_budget)
+                                 cfg.ldeim_budget)
 
 
 def _tail_block_norm(mat, khat):

@@ -1,21 +1,23 @@
-"""Index selection: DEIM, L-DEIM and the policy shared by every decomposition.
+"""Index selection: L-DEIM and the policy shared by every decomposition.
+
+L-DEIM with budget khat = k is DEIM, so one pivot loop serves both
+selectors and the budget khat is the only selection knob: ``khat=None``
+means DEIM, read as khat = k by :func:`leading_columns`.
 
 All selectors return distinct zero-based row indices of the input basis
 matrix.  Every argmax breaks ties by lowest index, so results are fully
 deterministic.  CUR, GCUR and RSVD-CUR all select through
-:func:`select_indices`, which owns the L-DEIM budget default.
+:func:`select_indices`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import RankDeficiencyError, as_matrix
 
 __all__ = [
-    "Method",
     "SelectionResult",
     "deim_select",
     "ldeim_select",
@@ -27,15 +29,9 @@ __all__ = [
 ]
 
 
-class Method(Enum):
-    DEIM = "deim"
-    LDEIM = "ldeim"
-
-
 @dataclass(frozen=True)
 class SelectionResult:
     indices: np.ndarray
-    method: Method = field(default=Method.DEIM)
 
     def __post_init__(self):
         ind = np.asarray(self.indices, dtype=np.intp)
@@ -60,47 +56,8 @@ def _pivot_floor(v):
     return max(v.shape) * np.finfo(float).eps * norms
 
 
-def deim_select(v):
-    """Greedy DEIM pivoting over the columns of ``v`` (m-by-k, k <= m).
-
-    Each step picks the largest-magnitude entry of the residual of the next
-    column after interpolatory projection onto the already-pivoted columns.
-    A pivot at roundoff level relative to its column (``_pivot_floor``) is
-    refused as rank deficient.
-    """
-    # copying a leading-column view once pays for itself in the steps'
-    # strided products, and the pivot floor then reads contiguous rows
-    v = np.ascontiguousarray(as_matrix(v, "basis"))
-    m, k = v.shape
-    if k > m:
-        raise ValueError(f"deim_select needs cols <= rows, got {m}x{k}")
-    floor = _pivot_floor(v)
-    p = np.empty(k, dtype=np.intp)
-    p[0] = int(np.argmax(np.abs(v[:, 0])))
-    if abs(v[p[0], 0]) <= floor[0]:
-        raise RankDeficiencyError("first basis column is identically zero")
-    for j in range(1, k):
-        col = v[:, j]
-        c = np.linalg.solve(v[p[:j]][:, :j], col[p[:j]])
-        r = col - v[:, :j] @ c
-        p[j] = int(np.argmax(np.abs(r)))
-        if abs(r[p[j]]) <= floor[j]:
-            raise RankDeficiencyError(
-                f"zero pivot residual at step {j}: basis is rank deficient"
-            )
-    return SelectionResult(p, Method.DEIM)
-
-
-def ldeim_select(v, k):
-    """Hybrid L-DEIM selection of ``k`` indices from an m-by-khat basis.
-
-    The first khat indices come from DEIM with in-place deflation of the
-    next column only; the remaining k - khat are the largest squared row
-    norms of the deflated basis, excluding already-chosen rows.  A pivot at
-    roundoff level relative to its undeflated column is refused as in
-    :func:`deim_select`.
-    """
-    v = as_matrix(v, "basis").copy()
+def _ldeim(v, k):
+    """The selection loop on a validated m-by-khat basis ``v``, overwritten."""
     m, khat = v.shape
     if khat > k:
         raise ValueError(f"basis has {khat} columns but target rank is {k}")
@@ -121,7 +78,25 @@ def ldeim_select(v, k):
         # stable sort on (-score, index) keeps ties at the lowest index
         order = np.argsort(-scores, kind="stable")
         p = np.concatenate([p, order[: k - khat]])
-    return SelectionResult(p, Method.LDEIM)
+    return SelectionResult(p)
+
+
+def ldeim_select(v, k):
+    """Hybrid L-DEIM selection of ``k`` indices from an m-by-khat basis.
+
+    The first khat indices come from DEIM with in-place deflation of the
+    next column only; the remaining k - khat are the largest squared row
+    norms of the deflated basis, excluding already-chosen rows.  A pivot at
+    roundoff level relative to its undeflated column (``_pivot_floor``) is
+    refused as rank deficient.
+    """
+    return _ldeim(as_matrix(v, "basis").copy(), k)
+
+
+def deim_select(v):
+    """DEIM over the columns of ``v`` (m-by-k, k <= m): L-DEIM at khat = k."""
+    v = as_matrix(v, "basis").copy()
+    return _ldeim(v, v.shape[1])
 
 
 def default_khat(k):
@@ -138,29 +113,25 @@ def check_rank(k, khat=None):
                          f"got {khat}")
 
 
-def leading_columns(k, method, khat=None):
-    """Basis columns a rank-k selection reads: k for DEIM, khat for L-DEIM."""
-    if method is Method.DEIM:
-        return k
-    return default_khat(k) if khat is None else khat
+def leading_columns(k, khat=None):
+    """Basis columns a rank-k selection reads: khat, or k when None (DEIM)."""
+    return k if khat is None else khat
 
 
-def select_indices(basis, k, method=Method.DEIM, khat=None):
-    """``k`` row indices of ``basis`` by DEIM or L-DEIM on its leading columns.
+def select_indices(basis, k, khat=None):
+    """``k`` row indices of ``basis`` by L-DEIM on its ``leading_columns``.
 
     Raises ValueError for a k or khat that ``check_rank`` refuses, and when
     the basis has fewer columns than the selection reads, instead of
     silently selecting from a narrower basis.
     """
     check_rank(k, khat)
-    width = leading_columns(k, method, khat)
+    width = leading_columns(k, khat)
     if width > basis.shape[1]:
         raise ValueError(
-            f"{method.value} needs {width} basis columns for rank {k}, "
+            f"selection needs {width} basis columns for rank {k}, "
             f"but the basis has {basis.shape[1]}"
         )
-    if method is Method.DEIM:
-        return deim_select(basis[:, :k]).indices
     return ldeim_select(basis[:, :width], k).indices
 
 

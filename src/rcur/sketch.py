@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, qr_thin
-from .selection import Method, check_rank, default_khat, leading_columns
+from .selection import check_rank, default_khat, leading_columns
 
 __all__ = ["SketchConfig", "gaussian_matrix", "range_finder", "split_seed"]
 
@@ -35,11 +35,12 @@ class SketchConfig:
             object.__setattr__(self, "ldeim_budget",
                                default_khat(self.target_rank))
 
-    def width(self, method: Method):
-        """Sketch width for ``method``: the basis columns it reads plus p,
-        which ``range_finder`` caps at min(rows, cols) of what it sketches."""
-        return (leading_columns(self.target_rank, method, self.ldeim_budget)
-                + self.oversampling)
+    def width(self, khat=None):
+        """Sketch width for a selection with L-DEIM budget ``khat`` (None: k):
+        the basis columns it reads plus p, which ``range_finder`` caps at
+        min(rows, cols) of what it sketches."""
+        check_rank(self.target_rank, khat)
+        return leading_columns(self.target_rank, khat) + self.oversampling
 
 
 def split_seed(seed, n):

@@ -14,7 +14,7 @@ from rcur.gsvd import gsvd, randomized_gsvd
 from rcur.linalg import relative_error
 from rcur.rsvd import randomized_rsvd, rsvd_deterministic
 from rcur.rsvd_cur import RsvdCurFactors, r_ldeim_rsvd_cur
-from rcur.selection import Method, deim_select, ldeim_select
+from rcur.selection import deim_select, ldeim_select
 from rcur.sketch import SketchConfig, range_finder
 
 RNG = np.random.default_rng(0)
@@ -71,7 +71,7 @@ K_P, KHAT_P = 4 + 2, 2 + 2
 
 @pytest.mark.parametrize("call,expected", [
     (lambda: randomized_gsvd(A, B, CFG), K_P),
-    (lambda: randomized_gsvd(A, B, CFG, Method.LDEIM), KHAT_P),
+    (lambda: randomized_gsvd(A, B, CFG, CFG.ldeim_budget), KHAT_P),
     (lambda: r_deim_gcur(A, B, CFG), K_P),
     (lambda: r_ldeim_gcur(A, B, CFG), KHAT_P),
 ], ids=["gsvd-deim", "gsvd-ldeim", "r_deim_gcur", "r_ldeim_gcur"])
@@ -82,7 +82,7 @@ def test_gsvd_sketch_is_as_wide_as_config_says(widths, call, expected):
 
 @pytest.mark.parametrize("call,expected", [
     (lambda: randomized_rsvd(TA, TB, TG, CFG), K_P),
-    (lambda: randomized_rsvd(TA, TB, TG, CFG, Method.LDEIM), KHAT_P),
+    (lambda: randomized_rsvd(TA, TB, TG, CFG, CFG.ldeim_budget), KHAT_P),
     (lambda: r_ldeim_rsvd_cur(TA, TB, TG, CFG), KHAT_P),
 ], ids=["rsvd-deim", "rsvd-ldeim", "r_ldeim_rsvd_cur"])
 def test_rsvd_second_sketch_is_as_wide_as_config_says(widths, call, expected):

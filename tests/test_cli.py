@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rcur
-from rcur.bench import exp1_instance
+from rcur.bench import exp1_instance, exp4_instance
 from rcur.cli import run
 from rcur.io import read_matrix, write_csv, write_matrix
 
@@ -294,3 +294,61 @@ def test_usage_error_exits_two(pair, tmp_path):
             run(["cur", "--a", pa, "--report", str(tmp_path / "r.csv"),
                  "-k", "2", *flag])
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def ci_inputs(tmp_path_factory):
+    """A 200x30 exp1 pair and the CI smoke run's exp4 triplet, as files."""
+    root = tmp_path_factory.mktemp("ci")
+    _, e, a_e = exp1_instance(200, 30, 0.1, 3)
+    _, t_ae, t_b, t_g = exp4_instance(120, 60, 30, 0.1, 3)
+    paths = {}
+    for name, mat in [("ae", a_e), ("e", e), ("t_ae", t_ae), ("t_b", t_b),
+                      ("t_g", t_g)]:
+        paths[name] = str(root / f"{name}.mtx")
+        write_matrix(paths[name], mat)
+    return paths
+
+
+def _command(name, paths, k):
+    inputs = {"cur": ["--a", paths["ae"]],
+              "gcur": ["--a", paths["ae"], "--b", paths["e"]],
+              "rsvd-cur": ["--a", paths["t_ae"], "--b", paths["t_b"],
+                           "--g", paths["t_g"]]}[name]
+    return [name, *inputs, "-k", str(k)]
+
+
+@pytest.mark.parametrize("method,khat", [("deim", "6"), ("ldeim", "3")])
+@pytest.mark.parametrize("command", ["cur", "gcur", "rsvd-cur"])
+def test_report_khat_is_what_the_selection_read(ci_inputs, tmp_path, command,
+                                                method, khat):
+    # k for DEIM, the L-DEIM budget ceil(k/2) otherwise, on every path
+    runs = [[]] if command == "cur" else [[], ["--randomized", "--seed", "4"]]
+    for extra in runs:
+        report = tmp_path / "r.csv"
+        argv = _command(command, ci_inputs, 6) + ["--method", method, *extra]
+        assert run(argv + ["--report", str(report)]) == 0
+        (row,) = read_report(report)
+        assert row["khat"] == khat, extra
+
+
+@pytest.mark.parametrize("command", ["cur", "gcur", "rsvd-cur"])
+def test_khat_without_ldeim_is_a_usage_error(ci_inputs, tmp_path, command):
+    report = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(_command(command, ci_inputs, 6) + ["--khat", "2",
+                                               "--report", str(report)])
+    assert exc.value.code == 2
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["gcur", "rsvd-cur"])
+def test_deterministic_run_reads_no_sketch_flags(ci_inputs, tmp_path,
+                                                 command):
+    # -p is read only with --randomized, so a value SketchConfig would
+    # refuse cannot fail a deterministic run
+    report = tmp_path / "r.csv"
+    argv = _command(command, ci_inputs, 6) + ["-p", "-1", "--seed", "5"]
+    assert run(argv + ["--report", str(report)]) == 0
+    (row,) = read_report(report)
+    assert row["p"] == "" and row["seed"] == ""

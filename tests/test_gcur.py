@@ -14,7 +14,6 @@ from rcur.gcur import (
     sketch_tail_bound,
 )
 from rcur.linalg import RankDeficiencyError
-from rcur.selection import Method
 from rcur.sketch import SketchConfig
 
 
@@ -185,9 +184,8 @@ def test_sketch_past_n_selects_the_deterministic_indices(seed):
     a = rng.standard_normal((40, 8))
     b = rng.standard_normal((20, 8))
     cfg = SketchConfig(5, 8, seed=seed)
-    for method, rand in ((Method.DEIM, r_deim_gcur),
-                         (Method.LDEIM, r_ldeim_gcur)):
-        ref = gcur_deterministic(a, b, 5, method, cfg.ldeim_budget)
+    for khat, rand in ((None, r_deim_gcur), (cfg.ldeim_budget, r_ldeim_gcur)):
+        ref = gcur_deterministic(a, b, 5, khat)
         fac = rand(a, b, cfg)
         for name in ("p", "s_a", "s_b"):
             assert np.array_equal(getattr(fac, name), getattr(ref, name))
@@ -228,6 +226,6 @@ def test_deim_cur_exact_on_low_rank():
 
 def test_deim_cur_ldeim_variant():
     a = lowrank(11, 30, 14, 6)
-    fac = deim_cur(a, 6, method=Method.LDEIM, khat=3)
+    fac = deim_cur(a, 6, khat=3)
     assert len(fac.p) == 6
     assert np.allclose(fac.reconstruct(a), a, atol=1e-7)

@@ -9,7 +9,6 @@ from rcur.rsvd_cur import (
     rsvd_cur_from_factors,
     rsvdcur_bound,
 )
-from rcur.selection import Method
 from rcur.sketch import SketchConfig
 
 
@@ -67,7 +66,7 @@ def test_ldeim_variant_and_reproducibility():
 def test_from_factors_matches_full_run():
     a, a_e, b, g = noisy_lowrank_triplet(4)
     factors = rsvd_deterministic(a_e, b, g)
-    f1 = rsvd_cur_from_factors(a_e, b, g, factors, 5, Method.DEIM)
+    f1 = rsvd_cur_from_factors(a_e, b, g, factors, 5)
     f2 = rsvd_cur(a_e, b, g, 5)
     assert np.array_equal(f1.p, f2.p)
     assert np.array_equal(f1.s, f2.s)

@@ -3,18 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcur.bench import exp1_instance, exp4_instance
 from rcur.cur import deim_cur
-from rcur.gcur import gcur_deterministic
+from rcur.gcur import gcur_deterministic, r_deim_gcur, r_ldeim_gcur
+from rcur.gsvd import randomized_gsvd
 from rcur.linalg import RankDeficiencyError
-from rcur.rsvd_cur import rsvd_cur
+from rcur.rsvd import randomized_rsvd
+from rcur.rsvd_cur import r_ldeim_rsvd_cur, rsvd_cur, rsvd_cur_from_factors
 from rcur.selection import (
-    Method,
     SelectionResult,
     deim_growth_bound,
     deim_select,
     ldeim_select,
     select_indices,
 )
+from rcur.sketch import SketchConfig
 
 
 def deim_oracle(v):
@@ -130,7 +133,7 @@ def test_deim_rejects_zero_column():
 
 
 @pytest.mark.parametrize("select, message", [
-    (deim_select, "zero pivot residual at step 3"),
+    (deim_select, "zero pivot at L-DEIM step 3"),
     (lambda v: ldeim_select(v, 4), "zero pivot at L-DEIM step 3"),
 ], ids=["deim", "ldeim"])
 def test_pivot_at_roundoff_level_is_rank_deficient(select, message):
@@ -156,18 +159,12 @@ def test_ldeim_rejects_bad_ranks():
         ldeim_select(v, 11)  # more indices than rows
 
 
-def test_methods_recorded():
-    v = random_basis(6, 12, 3)
-    assert deim_select(v).method is Method.DEIM
-    assert ldeim_select(v, 5).method is Method.LDEIM
-
-
 def test_select_indices_reads_leading_columns():
     v = random_basis(8, 20, 6)
     assert np.array_equal(select_indices(v, 4), deim_select(v[:, :4]).indices)
-    assert np.array_equal(select_indices(v, 6, Method.LDEIM),
+    assert np.array_equal(select_indices(v, 6, khat=3),
                           ldeim_select(v[:, :3], 6).indices)
-    assert np.array_equal(select_indices(v, 8, Method.LDEIM, khat=5),
+    assert np.array_equal(select_indices(v, 8, khat=5),
                           ldeim_select(v[:, :5], 8).indices)
 
 
@@ -176,9 +173,9 @@ def test_select_indices_rejects_rank_above_basis_width():
     with pytest.raises(ValueError, match="basis has 4"):
         select_indices(v, 5)
     with pytest.raises(ValueError, match="basis has 4"):
-        select_indices(v, 10, Method.LDEIM, khat=5)
+        select_indices(v, 10, khat=5)
     # L-DEIM reads only khat columns, so k may exceed the basis width
-    assert len(select_indices(v, 10, Method.LDEIM, khat=4)) == 10
+    assert len(select_indices(v, 10, khat=4)) == 10
 
 
 RNG = np.random.default_rng(30)
@@ -188,19 +185,54 @@ A, B = RNG.standard_normal((50, 20)), RNG.standard_normal((20, 20))
 TA, TB, TG = (RNG.standard_normal(s) for s in ((10, 8), (10, 30), (20, 8)))
 
 
-@pytest.mark.parametrize("k,method,khat", [
-    (0, Method.DEIM, None), (-2, Method.DEIM, None), (3, Method.LDEIM, 0),
-], ids=["k=0", "k=-2", "khat=0"])
+@pytest.mark.parametrize("k,khat", [(0, None), (-2, None), (3, 0)],
+                         ids=["k=0", "k=-2", "khat=0"])
 @pytest.mark.parametrize("call", [
     lambda *rank: deim_cur(A, *rank),
     lambda *rank: gcur_deterministic(A, B, *rank),
     lambda *rank: rsvd_cur(TA, TB, TG, *rank),
 ], ids=["deim_cur", "gcur_deterministic", "rsvd_cur"])
-def test_bad_rank_or_budget_is_refused(call, k, method, khat):
+def test_bad_rank_or_budget_is_refused(call, k, khat):
     # unchecked, k = -2 selects 18 indices, k = 0 fails with an IndexError
     # and khat = 0 returns rows 0, 1, 2 whatever the data
     with pytest.raises(ValueError, match=r"k must be >= 1|1 <= khat <= k"):
-        call(k, method, khat)
+        call(k, khat)
+
+
+def _assert_same_factors(f1, f2, names):
+    for name in names:
+        assert np.array_equal(getattr(f1, name), getattr(f2, name)), name
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_randomized_deim_is_ldeim_at_full_budget_on_exp1(seed):
+    # exp1 pair at 2000x200, k = 20, p = 5: a DEIM run and an L-DEIM run at
+    # khat = k give the same sketch, indices and middle matrices, and the
+    # indices are the literal DEIM loop's on the sketched factors
+    _, e, a_e = exp1_instance(2000, 200, 0.2, seed)
+    cfg = SketchConfig(20, 5, seed=seed)
+    full = SketchConfig(20, 5, ldeim_budget=20, seed=seed)
+    _assert_same_factors(r_deim_gcur(a_e, e, cfg), r_ldeim_gcur(a_e, e, full),
+                         ("p", "s_a", "s_b", "m_a", "m_b"))
+    factors, _ = randomized_gsvd(a_e, e, cfg)
+    for basis in (factors.y, factors.u, factors.v):
+        assert np.array_equal(select_indices(basis, 20),
+                              deim_oracle(basis[:, :20]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_randomized_deim_is_ldeim_at_full_budget_on_exp4(seed):
+    # exp4 triplet (1000, 500, 100), k = 10, p = 80: r_ldeim_rsvd_cur at
+    # khat = k against DEIM selection on a (k+p)-wide randomized RSVD
+    _, a_e, b, g = exp4_instance(1000, 500, 100, 0.1, seed)
+    cfg = SketchConfig(10, 80, ldeim_budget=10, seed=seed)
+    factors = randomized_rsvd(a_e, b, g, cfg)
+    deim = rsvd_cur_from_factors(a_e, b, g, factors, 10)
+    _assert_same_factors(r_ldeim_rsvd_cur(a_e, b, g, cfg), deim,
+                         ("p", "p_b", "s", "s_g", "m_a", "m_b", "m_g"))
+    for basis, idx in ((factors.w, deim.p), (factors.z, deim.s),
+                       (factors.v, deim.s_g)):
+        assert np.array_equal(idx, deim_oracle(basis[:, :10]))
 
 
 def test_growth_bound_value():

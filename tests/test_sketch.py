@@ -21,6 +21,11 @@ def test_config_validation():
         SketchConfig(5, ldeim_budget=6)
     with pytest.raises(ValueError):
         SketchConfig(5, ldeim_budget=0)
+    # a budget handed to width directly is held to the same 1 <= khat <= k
+    for khat in (0, 6):
+        with pytest.raises(ValueError, match="1 <= khat <= k"):
+            SketchConfig(5, 2).width(khat)
+    assert (SketchConfig(5, 2).width(), SketchConfig(5, 2).width(3)) == (7, 5)
 
 
 def test_gaussian_matrix_reproducible_and_distinct():
