@@ -66,8 +66,9 @@ def _cs_gsvd(a, b, require_full_rank=True):
 
     Route: [B; A] = QR by ``qr_stack``; the SVD Q_A = W diag(gamma) Z^T of
     the formed A-block gives U = W and Y = R^T Z; the formed product
-    Q_B Z = V diag(beta) gives V and beta.  ``require_full_rank`` gates
-    only the rank test on R.
+    Q_B Z = V diag(beta) gives beta (its column norms) and V, scaled in
+    place in that product's buffer.  ``require_full_rank`` gates only the
+    rank test on R.
 
     Both inputs must be 2-d float arrays with finite entries: every caller
     has validated or computed them, so they are not scanned again here.
@@ -92,12 +93,12 @@ def _cs_gsvd(a, b, require_full_rank=True):
     gamma = np.zeros(n)
     gamma[: min(ra, n)] = np.clip(s, 0.0, 1.0)
 
-    vb = q.rows(0, d, z)
-    beta = np.linalg.norm(vb, axis=0)
+    # a fresh product, so V is scaled in place; small-beta columns are
+    # divided by 1 and overwritten below
+    v = q.rows(0, d, z)
+    beta = np.sqrt(np.einsum("ij,ij->j", v, v))
     small = beta < BETA_ZERO_TOL
-    v = np.empty_like(vb)
-    good = ~small
-    v[:, good] = vb[:, good] / beta[good]
+    v /= np.where(small, 1.0, beta)
     if small.any():
         # directions absent from B: fill V there with columns orthonormal to
         # the good ones.  Zero columns appended to the good ones give tau = 0
@@ -106,6 +107,7 @@ def _cs_gsvd(a, b, require_full_rank=True):
         # (numerically) zero there.  When B has fewer rows than columns the
         # complement runs out; the leftover columns are zeroed (they never
         # enter a reconstruction).
+        good = ~small
         v[:, small] = 0.0
         fill = np.flatnonzero(small)[: max(d - int(good.sum()), 0)]
         if fill.size:

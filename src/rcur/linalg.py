@@ -13,7 +13,10 @@ computed, so they check shapes but do not scan the entries again.
 ``qr_stack`` is the one place that picks how a row stack of blocks is
 QR-factored; the GSVD's stacked pair and the middle matrices' C and R^T
 all go through it.  It runs CholeskyQR2 (``cholesky_qr2``), all BLAS-3
-(Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44, 2015).  Where that
+(Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44, 2015); its two
+triangular factors are inverted by 2-by-2 recursive blocking, whose
+off-diagonal blocks are gemms (Du Croz & Higham, IMA J. Numer. Anal. 12,
+1992), not by a pivoted LU of the whole factor.  Where that
 declines (a failed Cholesky, kappa beyond about 1e7, an overflowing Gram
 matrix, a singular stack) it runs one Householder QR of the stack with an
 explicit Q.  On a 2-core OpenBLAS host a Householder QR (geqrf) of a
@@ -53,6 +56,10 @@ __all__ = [
 # this loss (kappa beyond about 1e7) it declines and ``qr_stack`` runs
 # Householder QR
 CHOLQR_ORTH_TOL = 1e-2
+
+# ``_inv_upper`` hands blocks of at most this order to ``np.linalg.inv``, so
+# an inverse of order <= _INV_LEAF is bitwise the LU-based one
+_INV_LEAF = 128
 
 
 class DimensionError(ValueError):
@@ -115,6 +122,26 @@ class CholeskyQ:
         return self.q1[lo:hi] if z is None else self.q1[lo:hi] @ z
 
 
+def _inv_upper(r):
+    """Inverse of the nonsingular upper-triangular ``r``, itself upper triangular.
+
+    2-by-2 recursive blocking, inv([[A, B], [0, D]]) =
+    [[A^-1, -A^-1 B D^-1], [0, D^-1]]: every flop outside the diagonal
+    leaves is a gemm, about 2n^3/3 of them, where ``np.linalg.inv`` runs a
+    pivoted LU and two triangular solves of the whole matrix (8n^3/3).
+    Leaves of order at most ``_INV_LEAF`` go to ``np.linalg.inv``.
+    """
+    n = r.shape[0]
+    if n <= _INV_LEAF:
+        return np.linalg.inv(r)
+    h = n // 2
+    x = np.zeros((n, n))
+    x[:h, :h] = a_inv = _inv_upper(r[:h, :h])
+    x[h:, h:] = d_inv = _inv_upper(r[h:, h:])
+    x[:h, h:] = -(a_inv @ r[:h, h:]) @ d_inv
+    return x
+
+
 def cholesky_qr2(blocks):
     """CholeskyQR2 of the row stack of ``blocks``, or None where it cannot be trusted.
 
@@ -124,8 +151,9 @@ def cholesky_qr2(blocks):
     ``q`` a :class:`CholeskyQ` and ``r`` the n-by-n upper-triangular
     factor.  Declines (None) when the stack has fewer rows than columns, a
     Cholesky fails, the Gram matrix overflows, or ||Q1^T Q1 - I||_F
-    exceeds ``CHOLQR_ORTH_TOL``.  The inverses are of triangular factors,
-    whose LU needs no pivoting.
+    exceeds ``CHOLQR_ORTH_TOL``.  R1 and R2 are inverted by
+    ``_inv_upper``'s blocked triangular inverse, bitwise ``np.linalg.inv``
+    up to order 128.
     """
     m, n = sum(x.shape[0] for x in blocks), blocks[0].shape[1]
     if m < n:
@@ -134,7 +162,7 @@ def cholesky_qr2(blocks):
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             r1 = np.linalg.cholesky(sum(x.T @ x for x in blocks)).T
-            r1_inv = np.linalg.inv(r1)
+            r1_inv = _inv_upper(r1)
             q1 = np.empty((m, n))
             lo = 0
             for x in blocks:
@@ -146,7 +174,7 @@ def cholesky_qr2(blocks):
             r2 = np.linalg.cholesky(g).T
         except np.linalg.LinAlgError:
             return None
-    return CholeskyQ(q1=q1, r2_inv=np.linalg.inv(r2)), r2 @ r1
+    return CholeskyQ(q1=q1, r2_inv=_inv_upper(r2)), r2 @ r1
 
 
 def qr_stack(blocks):

@@ -1,8 +1,15 @@
+import json
+import os
+from pathlib import Path
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rcur
 from rcur.cur import deim_cur
 from rcur.gcur import (
     gcur_bound,
@@ -189,6 +196,39 @@ def test_sketch_past_n_selects_the_deterministic_indices(seed):
         fac = rand(a, b, cfg)
         for name in ("p", "s_a", "s_b"):
             assert np.array_equal(getattr(fac, name), getattr(ref, name))
+
+
+# the stacked 2000x300 pair takes the blocked triangular inverse (n > 128) on
+# both paths; k <= 50 stays below the pair's numerical rank, past which
+# gamma/beta = 1 clusters let roundoff choose the basis
+_THREAD_SWEEP = """
+import json
+from rcur.bench import exp1_instance
+from rcur.gcur import gcur_deterministic, r_ldeim_gcur
+from rcur.sketch import SketchConfig
+out = []
+for seed in (0, 1):
+    _, e, a_e = exp1_instance(2000, 300, 0.05, seed)
+    for k in (10, 30, 50):
+        for f in (gcur_deterministic(a_e, e, k),
+                  r_ldeim_gcur(a_e, e, SketchConfig(k, 5, seed=seed))):
+            out.append([f.p.tolist(), f.s_a.tolist(), f.s_b.tolist()])
+print(json.dumps(out))
+"""
+
+
+def test_indices_identical_across_blas_thread_counts():
+    src = str(Path(rcur.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _THREAD_SWEEP], env=env,
+                              check=True, capture_output=True, text=True)
+        runs.append(json.loads(done.stdout))
+    assert len(runs[0]) == 12
+    assert runs[0] == runs[1]
 
 
 def test_sketch_tail_bound_zero_tail():
