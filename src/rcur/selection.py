@@ -4,6 +4,17 @@ L-DEIM with budget khat = k is DEIM, so one pivot loop serves both
 selectors and the budget khat is the only selection knob: ``khat=None``
 means DEIM, read as khat = k by :func:`leading_columns`.
 
+The loop deflates each next column against the chosen pivots.  The pivot
+block of the deflated columns is lower triangular, since column j is zero
+on the first j pivots (the partial-pivoting LU structure of DEIM, Sorensen
+& Embree, SIAM J. Sci. Comput. 38, 2016).  So the loop grows that block's
+inverse by one row per step instead of factoring the block again.  Step j
+costs one m-by-j gemv plus O(j^2) for the inverse; there is no
+factorization.  The working copy is column-major and is first scaled by a
+power of two so that its largest entry lies in [0.5, 1).  That scaling is
+exact, so the indices do not depend on the basis scale, and it keeps
+1/pivot finite on tiny-scaled bases.
+
 All selectors return distinct zero-based row indices of the input basis
 matrix.  Every argmax breaks ties by lowest index, so results are fully
 deterministic.  CUR, GCUR and RSVD-CUR all select through
@@ -47,31 +58,41 @@ def _pivot_floor(v):
     ones to working precision, and its interpolation amplification is
     unbounded.
     """
-    norms = np.sqrt(np.einsum("ij,ij->j", v, v))
-    big = np.isinf(norms)
-    if big.any():
-        # the squares overflowed: rescale those columns by their largest entry
-        top = np.abs(v[:, big]).max(axis=0)
-        norms[big] = top * np.linalg.norm(v[:, big] / top, axis=0)
-    return max(v.shape) * np.finfo(float).eps * norms
+    return max(v.shape) * np.finfo(float).eps * np.sqrt(
+        np.einsum("ij,ij->j", v, v))
 
 
 def _ldeim(v, k):
-    """The selection loop on a validated m-by-khat basis ``v``, overwritten."""
+    """The selection loop on a validated m-by-khat basis ``v``, overwritten.
+
+    ``v`` is scaled in place by the power of two that puts its largest
+    entry in [0.5, 1), so column norms are at most sqrt(m) and 1/pivot
+    cannot overflow.  ``t_inv`` holds the inverse of the lower-triangular
+    pivot block ``v[p[:j+1], :j+1]`` of the deflated columns and gains one
+    row per step, so the deflation of column j + 1 costs an O(j^2) matvec
+    and one m-by-(j+1) gemv, with no solve.  Step j reads only columns
+    <= j + 1.
+    """
     m, khat = v.shape
     if khat > k:
         raise ValueError(f"basis has {khat} columns but target rank is {k}")
     if k > m:
         raise ValueError(f"cannot select {k} indices from {m} rows")
+    np.ldexp(v, -np.frexp(np.abs(v).max(initial=0.0))[1], out=v)
     floor = _pivot_floor(v)
     p = np.empty(khat, dtype=np.intp)
+    t_inv = np.zeros((khat, khat))
     for j in range(khat):
-        p[j] = int(np.argmax(np.abs(v[:, j])))
-        if abs(v[p[j], j]) <= floor[j]:
+        col = v[:, j]
+        p[j] = np.abs(col).argmax()
+        piv = col[p[j]]
+        if abs(piv) <= floor[j]:
             raise RankDeficiencyError(f"zero pivot at L-DEIM step {j}")
         if j + 1 < khat:
-            c = np.linalg.solve(v[p[: j + 1]][:, : j + 1], v[p[: j + 1], j + 1])
-            v[:, j + 1] -= v[:, : j + 1] @ c
+            np.divide(v[p[j], :j] @ t_inv[:j, :j], -piv, out=t_inv[j, :j])
+            t_inv[j, j] = 1.0 / piv
+            nxt = v[:, j + 1]
+            nxt -= v[:, : j + 1] @ (t_inv[: j + 1, : j + 1] @ nxt[p[: j + 1]])
     if k > khat:
         scores = np.einsum("ij,ij->i", v, v)
         scores[p] = -np.inf
@@ -89,13 +110,19 @@ def ldeim_select(v, k):
     norms of the deflated basis, excluding already-chosen rows.  A pivot at
     roundoff level relative to its undeflated column (``_pivot_floor``) is
     refused as rank deficient.
+
+    The DEIM indices have the prefix property: for any j <= khat, the
+    first j of ``ldeim_select(v, k).indices`` are
+    ``deim_select(v[:, :j]).indices``, bitwise, since step i reads only
+    columns <= i + 1.  So one selection at the widest budget gives every
+    narrower DEIM selection.
     """
-    return _ldeim(as_matrix(v, "basis").copy(), k)
+    return _ldeim(np.array(as_matrix(v, "basis"), order="F"), k)
 
 
 def deim_select(v):
     """DEIM over the columns of ``v`` (m-by-k, k <= m): L-DEIM at khat = k."""
-    v = as_matrix(v, "basis").copy()
+    v = np.array(as_matrix(v, "basis"), order="F")
     return _ldeim(v, v.shape[1])
 
 

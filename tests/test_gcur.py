@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rcur
+from rcur.bench import exp1_instance
 from rcur.cur import deim_cur
 from rcur.gcur import (
     gcur_bound,
@@ -20,6 +21,7 @@ from rcur.gcur import (
     r_ldeim_gcur,
     sketch_tail_bound,
 )
+from rcur.gsvd import gsvd
 from rcur.linalg import RankDeficiencyError
 from rcur.sketch import SketchConfig
 
@@ -217,17 +219,53 @@ print(json.dumps(out))
 """
 
 
-def test_indices_identical_across_blas_thread_counts():
+def _under_thread_counts(script, *args):
+    """The JSON output of ``script`` under OPENBLAS_NUM_THREADS=1 and =2."""
     src = str(Path(rcur.__file__).resolve().parents[1])
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        [src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-c", _THREAD_SWEEP], env=env,
-                              check=True, capture_output=True, text=True)
+        done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                              env=env, check=True, capture_output=True,
+                              text=True)
         runs.append(json.loads(done.stdout))
+    return runs
+
+
+def test_indices_identical_across_blas_thread_counts():
+    runs = _under_thread_counts(_THREAD_SWEEP)
     assert len(runs[0]) == 12
+    assert runs[0] == runs[1]
+
+
+# selection alone on fixed bases, read from a file so that both thread
+# counts see the same bits, at every rank of the k-sweep (k up to 100)
+_SELECT_SWEEP = """
+import json, sys
+import numpy as np
+from rcur.selection import default_khat, select_indices
+out = []
+with np.load(sys.argv[1]) as bases:
+    for name in sorted(bases.files):
+        for k in range(10, 101, 10):
+            for khat in (k, default_khat(k)):
+                out.append(select_indices(bases[name], k, khat).tolist())
+print(json.dumps(out))
+"""
+
+
+def test_selection_identical_across_blas_thread_counts(tmp_path):
+    bases = {}
+    for seed in range(3):
+        _, e, a_e = exp1_instance(2000, 300, 0.05, seed)
+        f = gsvd(a_e, e)
+        bases.update({f"{seed}_y": f.y, f"{seed}_u": f.u, f"{seed}_v": f.v})
+    path = tmp_path / "bases.npz"
+    np.savez(path, **bases)
+    runs = _under_thread_counts(_SELECT_SWEEP, path)
+    assert len(runs[0]) == 180
     assert runs[0] == runs[1]
 
 

@@ -117,17 +117,20 @@ def test_randomized_clamps_excess_width():
     assert err <= 1e-10 * np.linalg.norm(a)
 
 
-@pytest.mark.parametrize("scale", [1e-16, 1e30, 1e160])
+@pytest.mark.parametrize("scale", [1e-308, 1e-16, 1e30, 1e160])
 def test_rank_decision_ignores_scale(scale, householder_shapes):
     # a well-conditioned pair is full rank at any scale; the GSVD values and
     # the GCUR indices do not depend on it.  At 1e160 the Gram matrix of the
-    # stack overflows, and its QR falls back to Householder without a warning
+    # stack overflows, at 1e-308 it underflows, and its QR falls back to
+    # Householder without a warning; at 1e-308 the selection reads
+    # subnormal bases
     a, b = random_pair(12, m=60, d=40, n=20)
     det = gsvd(a, b)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scaled = gsvd(scale * a, scale * b)
-        assert householder_shapes == ([(100, 20)] if scale > 1e150 else [])
+        assert householder_shapes == ([] if 1e-150 < scale < 1e150
+                                      else [(100, 20)])
         ref = gcur_deterministic(a, b, 10)
         fac = gcur_deterministic(scale * a, scale * b, 10)
     assert np.allclose(scaled.gamma, det.gamma, atol=1e-12)

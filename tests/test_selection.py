@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from rcur.bench import exp1_instance, exp4_instance
 from rcur.cur import deim_cur
 from rcur.gcur import gcur_deterministic, r_deim_gcur, r_ldeim_gcur
-from rcur.gsvd import randomized_gsvd
+from rcur.gsvd import gsvd, randomized_gsvd
 from rcur.linalg import RankDeficiencyError
 from rcur.rsvd import randomized_rsvd
 from rcur.rsvd_cur import r_ldeim_rsvd_cur, rsvd_cur, rsvd_cur_from_factors
 from rcur.selection import (
     SelectionResult,
+    default_khat,
     deim_growth_bound,
     deim_select,
     ldeim_select,
@@ -73,8 +74,8 @@ def test_deim_matches_oracle(seed):
 @settings(max_examples=60, deadline=None)
 def test_ldeim_matches_oracle(seed):
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(6, 50))
-    k = int(rng.integers(2, min(m, 8) + 1))
+    m = int(rng.integers(6, 301))
+    k = int(rng.integers(2, min(m, 29) + 1))
     khat = int(rng.integers(1, k + 1))
     v = random_basis(seed, m, khat)
     assert np.array_equal(ldeim_select(v, k).indices, ldeim_oracle(v, k))
@@ -102,6 +103,78 @@ def test_indices_distinct_and_in_range(seed):
     assert len(idx) == k
     assert len(set(idx.tolist())) == k
     assert idx.min() >= 0 and idx.max() < m
+
+
+@pytest.fixture(scope="module")
+def ksweep_bases():
+    """Y, U and V of the deterministic GSVD of the 2000x300 exp1 pairs
+    (eps = 0.05, seeds 0-2) that the k-sweep benchmark selects from."""
+    out = {}
+    for seed in range(3):
+        _, e, a_e = exp1_instance(2000, 300, 0.05, seed)
+        f = gsvd(a_e, e)
+        out[seed] = (f.y, f.u, f.v)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_selection_matches_oracles_on_ksweep_bases(ksweep_bases, seed):
+    # the selection shapes the benchmark times: DEIM at k = 10..100 and
+    # L-DEIM at khat = ceil(k/2), against the literal loops, bitwise
+    for basis in ksweep_bases[seed]:
+        for k in range(10, 101, 10):
+            khat = default_khat(k)
+            assert np.array_equal(select_indices(basis, k),
+                                  deim_oracle(basis[:, :k])), k
+            assert np.array_equal(select_indices(basis, k, khat),
+                                  ldeim_oracle(basis[:, :khat], k)), k
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_deim_indices_are_a_prefix_property(seed):
+    # step j reads only columns <= j + 1, so a narrower selection is the
+    # prefix of a wider one, bitwise
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(30, 200))
+    width = int(rng.integers(2, 31))
+    k = int(rng.integers(1, width + 1))
+    v = random_basis(seed, m, width)
+    full = deim_select(v).indices
+    assert np.array_equal(deim_select(v[:, :k]).indices, full[:k])
+    khat = default_khat(k)
+    assert np.array_equal(ldeim_select(v[:, :khat], k).indices[:khat],
+                          full[:khat])
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_indices_ignore_column_signs_and_follow_row_permutations(seed):
+    # Gaussian bases have no near-ties, so the argmax never flips on
+    # roundoff
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(20, 200))
+    khat = int(rng.integers(1, 21))
+    k = int(rng.integers(khat, min(m, 2 * khat) + 1))
+    v = random_basis(seed, m, khat)
+    ref = ldeim_select(v, k).indices
+    signs = rng.choice([-1.0, 1.0], size=khat)
+    assert np.array_equal(ldeim_select(v * signs, k).indices, ref)
+    perm = rng.permutation(m)
+    assert np.array_equal(perm[ldeim_select(v[perm], k).indices], ref)
+
+
+@pytest.mark.parametrize("scale", [1e-310, 2.0**-1000, 2.0**1000],
+                         ids=["subnormal", "2^-1000", "2^1000"])
+def test_deim_ignores_basis_scale(scale):
+    # the working copy is scaled by a power of two, exactly; unscaled,
+    # 1/pivot overflows on the subnormal basis and the squared row norms
+    # overflow or underflow at 2^+-1000
+    v = random_basis(0, 400, 40)
+    ref = deim_select(v).indices
+    assert np.array_equal(deim_select(scale * v).indices, ref)
+    assert np.array_equal(ldeim_select(scale * v[:, :20], 40).indices,
+                          ldeim_select(v[:, :20], 40).indices)
 
 
 def test_interpolation_identity():
