@@ -59,8 +59,8 @@ def _read(path):
 
 
 def _khat(args):
-    """Basis columns the selection reads: k for ``--method deim``, else
-    ``--khat`` (default ceil(k/2)).  Every report's khat column gives it."""
+    """L-DEIM budget: k for ``--method deim``, else ``--khat`` (default
+    ceil(k/2)).  A deterministic selection reads that many basis columns."""
     if args.method == "deim":
         return args.k
     return default_khat(args.k) if args.khat is None else args.khat
@@ -70,6 +70,16 @@ def _config(args):
     """Sketch parameters of a randomized run, its budget from ``_khat``."""
     return SketchConfig(args.k, args.oversampling, ldeim_budget=_khat(args),
                         seed=args.seed)
+
+
+def _selection(args):
+    """(cfg, khat): the randomized run's config (None when deterministic)
+    and the basis columns the selection reads, which every report's khat
+    column gives: min(k, khat + p) on a randomized run."""
+    if not args.randomized:
+        return None, _khat(args)
+    cfg = _config(args)
+    return cfg, cfg.columns_read()
 
 
 def _cmd_gsvd(args):
@@ -128,10 +138,10 @@ def _cmd_cur(args):
 
 def _cmd_gcur(args):
     a, b = _read(args.a), _read(args.b)
-    khat = _khat(args)
+    cfg, khat = _selection(args)
     t0 = time.perf_counter()
-    if args.randomized:
-        fac = r_ldeim_gcur(a, b, _config(args))
+    if cfg is not None:
+        fac = r_ldeim_gcur(a, b, cfg)
     else:
         fac = gcur_deterministic(a, b, args.k, khat)
     wall_ms = (time.perf_counter() - t0) * 1e3
@@ -152,10 +162,10 @@ def _cmd_gcur(args):
 
 def _cmd_rsvd_cur(args):
     a, b, g = _read(args.a), _read(args.b), _read(args.g)
-    khat = _khat(args)
+    cfg, khat = _selection(args)
     t0 = time.perf_counter()
-    if args.randomized:
-        fac = r_ldeim_rsvd_cur(a, b, g, _config(args))
+    if cfg is not None:
+        fac = r_ldeim_rsvd_cur(a, b, g, cfg)
     else:
         fac = rsvd_cur(a, b, g, args.k, khat)
     wall_ms = (time.perf_counter() - t0) * 1e3

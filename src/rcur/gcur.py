@@ -153,9 +153,12 @@ def r_deim_gcur(a, b, cfg: SketchConfig):
 
 
 def r_ldeim_gcur(a, b, cfg: SketchConfig):
-    """Randomized L-DEIM GCUR: khat-wide sketch, L-DEIM extends to k indices."""
+    """Randomized L-DEIM GCUR: a khat + p wide sketch, of which L-DEIM reads
+    ``cfg.columns_read()`` = min(k, khat + p) columns and extends to k
+    indices."""
     factors, _ = randomized_gsvd(a, b, cfg, cfg.ldeim_budget)
-    return gcur_from_factors(a, b, factors, cfg.target_rank, cfg.ldeim_budget)
+    return gcur_from_factors(a, b, factors, cfg.target_rank,
+                             cfg.columns_read())
 
 
 def gcur_error(a, factors: GcurFactors):

@@ -10,6 +10,15 @@ stacked matrix [B; A] = QR (``linalg.qr_stack``, which picks the QR route)
 followed by an SVD of the A-block of Q (a CS-decomposition step), which
 costs O((m+d) n^2).  Only the A-block Q_A and the B-side product Q_B Z are
 formed, one gemm each.
+
+Sign convention: for each pair i the largest-magnitude entry of Y[:, i] is
+positive, and U[:, i] (where it exists) and V[:, i] flip with it, so both
+reconstructions are unchanged.  Y is the only factor with a column for
+every pair.  The factors then do not depend on the column signs a QR route
+or LAPACK happens to give, and neither does any sketch later drawn against
+them (the second RSVD stage sketches B^T U_1): the realization of a seeded
+run is fixed by the seed, not by the route.  DEIM indices and middle
+matrices do not depend on column signs at all.
 """
 from __future__ import annotations
 
@@ -60,9 +69,10 @@ class GsvdFactors:
 def _cs_gsvd(a, b, require_full_rank=True):
     """Shared kernel: factor (a, b) with any row counts and equal columns.
 
-    Returns factors where the a-side values (gamma) are non-increasing.  The
-    a-side orthonormal factor has min(rows(a), n) columns; both inputs are
-    reproduced exactly up to roundoff.
+    Returns factors where the a-side values (gamma) are non-increasing and
+    the columns follow the module's sign convention.  The a-side orthonormal
+    factor has min(rows(a), n) columns; both inputs are reproduced exactly
+    up to roundoff.
 
     Route: [B; A] = QR by ``qr_stack``; the SVD Q_A = W diag(gamma) Z^T of
     the formed A-block gives U = W and Y = R^T Z; the formed product
@@ -93,26 +103,9 @@ def _cs_gsvd(a, b, require_full_rank=True):
     gamma = np.zeros(n)
     gamma[: min(ra, n)] = np.clip(s, 0.0, 1.0)
 
-    # a fresh product, so V is scaled in place; small-beta columns are
-    # divided by 1 and overwritten below
     v = q.rows(0, d, z)
     beta = np.sqrt(np.einsum("ij,ij->j", v, v))
     small = beta < BETA_ZERO_TOL
-    v /= np.where(small, 1.0, beta)
-    if small.any():
-        # directions absent from B: fill V there with columns orthonormal to
-        # the good ones.  Zero columns appended to the good ones give tau = 0
-        # in a Householder QR, so its trailing columns are the complement
-        # (d-by-n at most, never the d-by-d completion); beta stays
-        # (numerically) zero there.  When B has fewer rows than columns the
-        # complement runs out; the leftover columns are zeroed (they never
-        # enter a reconstruction).
-        good = ~small
-        v[:, small] = 0.0
-        fill = np.flatnonzero(small)[: max(d - int(good.sum()), 0)]
-        if fill.size:
-            padded = np.hstack([v[:, good], np.zeros((d, fill.size))])
-            v[:, fill] = qr_thin(padded)[0][:, -fill.size:]
     y = r.T @ z
     if small.any():
         # beta = 0 pairs all share the saturated a-side value 1, so the SVD
@@ -125,6 +118,28 @@ def _cs_gsvd(a, b, require_full_rank=True):
             pb, sb, qbt = np.linalg.svd(y[:, blk], full_matrices=False)
             y[:, blk] = pb * sb
             w[:, blk] = w[:, blk] @ qbt.T
+    # the module's sign convention, set by Y alone
+    sign = np.where(y[np.abs(y).argmax(axis=0), np.arange(n)] < 0.0, -1.0, 1.0)
+    y *= sign
+    w *= sign[: w.shape[1]]
+    # V is a fresh product, so it is scaled and signed in place; small-beta
+    # columns are divided by +-1 and overwritten below
+    v /= np.where(small, 1.0, beta) * sign
+    if small.any():
+        # directions absent from B: fill V there with columns orthonormal to
+        # the good ones.  Zero columns appended to the good ones give tau = 0
+        # in a Householder QR, so its trailing columns are the complement
+        # (d-by-n at most, never the d-by-d completion); beta stays
+        # (numerically) zero there.  The complement does not depend on the
+        # good columns' signs.  When B has fewer rows than columns the
+        # complement runs out; the leftover columns are zeroed (they never
+        # enter a reconstruction).
+        good = ~small
+        v[:, small] = 0.0
+        fill = np.flatnonzero(small)[: max(d - int(good.sum()), 0)]
+        if fill.size:
+            padded = np.hstack([v[:, good], np.zeros((d, fill.size))])
+            v[:, fill] = qr_thin(padded)[0][:, -fill.size:] * sign[fill]
     return GsvdFactors(u=w, v=v, y=y, gamma=gamma, beta=beta, small_beta=small)
 
 

@@ -11,8 +11,9 @@ and ``complete_orthonormal`` take only arrays their callers validated or
 computed, so they check shapes but do not scan the entries again.
 
 ``qr_stack`` is the one place that picks how a row stack of blocks is
-QR-factored; the GSVD's stacked pair and the middle matrices' C and R^T
-all go through it.  It runs CholeskyQR2 (``cholesky_qr2``), all BLAS-3
+QR-factored; the GSVD's stacked pair, the middle matrices' C and R^T and
+every sketch basis of ``sketch.range_finder`` go through it.  It runs
+CholeskyQR2 (``cholesky_qr2``), all BLAS-3
 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44, 2015); its two
 triangular factors are inverted by 2-by-2 recursive blocking, whose
 off-diagonal blocks are gemms (Du Croz & Higham, IMA J. Numer. Anal. 12,
@@ -21,7 +22,14 @@ declines (a failed Cholesky, kappa beyond about 1e7, an overflowing Gram
 matrix, a singular stack) it runs one Householder QR of the stack with an
 explicit Q.  On a 2-core OpenBLAS host a Householder QR (geqrf) of a
 20000-by-200 block runs at about 10 GFLOP/s; the gemms CholeskyQR2 is
-built from run at about 57 GFLOP/s.
+built from run at about 57 GFLOP/s.  On skinny blocks a Householder QR
+even runs slower at 2 OpenBLAS threads than at 1: 10.6 against 5.3 ms at
+1000-by-90 on the same host.
+
+``qr_thin`` (a Householder QR) is left to ``qr_stack``'s fallback, to the
+complement ``gsvd`` fills in for small betas and to ``rsvd_cur``'s
+diagnostic bound; ``complete_orthonormal`` runs its own complete
+Householder QR.
 
 Every kernel calls NumPy's LAPACK and BLAS, never SciPy's: the two packages
 may each bundle their own OpenBLAS build, and when both are loaded their

@@ -147,9 +147,12 @@ def randomized_rsvd(a, b, g, cfg: SketchConfig, khat=None):
 
     Both sketches come from ``range_finder``, never wider than the matrix
     they compress: G at full width n (so Sigma_1 stays square), and the
-    l-by-m product B^T U_1 at ``cfg.width(khat)`` columns (the khat, or k
-    when None, basis columns the selection reads plus p), raised to at
-    least m - n + 1 so the reduced pair stays well posed.
+    l-by-m product B^T U_1 at ``cfg.width(khat)`` columns (khat, or k when
+    None, plus p), raised to at least m - n + 1 so the reduced pair stays
+    well posed.  The second sketch is drawn against U_1, so its realization
+    would follow U_1's column signs; the GSVD sign convention fixes them,
+    and the factors do not depend on which QR route ``range_finder`` took
+    or on the BLAS thread count.
     """
     a, b, g = _check_triplet(a, b, g)
     m, n = a.shape

@@ -96,10 +96,12 @@ def rsvd_cur(a, b, g, k, khat=None):
 
 
 def r_ldeim_rsvd_cur(a, b, g, cfg: SketchConfig):
-    """Randomized L-DEIM RSVD-CUR: khat-wide second sketch, k indices."""
+    """Randomized L-DEIM RSVD-CUR: a khat + p wide second sketch, of which
+    L-DEIM reads ``cfg.columns_read()`` = min(k, khat + p) columns; k
+    indices."""
     factors = randomized_rsvd(a, b, g, cfg, cfg.ldeim_budget)
     return rsvd_cur_from_factors(a, b, g, factors, cfg.target_rank,
-                                 cfg.ldeim_budget)
+                                 cfg.columns_read())
 
 
 def _tail_block_norm(mat, khat):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, qr_thin
+from .linalg import as_matrix, qr_stack
 from .selection import check_rank, default_khat, leading_columns
 
 __all__ = ["SketchConfig", "gaussian_matrix", "range_finder", "split_seed"]
@@ -17,8 +17,9 @@ class SketchConfig:
 
     target_rank:  rank k of the final decomposition.
     oversampling: extra sketch columns p (see :meth:`width`).
-    ldeim_budget: number khat <= k of basis vectors handed to L-DEIM
-                  (default ceil(k/2)).
+    ldeim_budget: L-DEIM budget khat <= k (default ceil(k/2)); it sets the
+                  sketch width khat + p, of which a randomized selection
+                  reads :meth:`columns_read`.
     seed:         64-bit seed; fixing it makes every run reproducible.
     """
 
@@ -42,6 +43,16 @@ class SketchConfig:
         check_rank(self.target_rank, khat)
         return leading_columns(self.target_rank, khat) + self.oversampling
 
+    def columns_read(self):
+        """Basis columns a randomized selection reads: min(k, khat + p).
+
+        Every column the khat + p wide sketch paid for, up to k, so the
+        L-DEIM budget extends into the oversampling.  This departs from
+        Gidisu & Hochstenbach (2022), whose L-DEIM reads only khat; p = 0
+        keeps their rule, and khat = k (DEIM) reads k either way.
+        """
+        return min(self.target_rank, self.width(self.ldeim_budget))
+
 
 def split_seed(seed, n):
     """Derive ``n`` independent child seeds from ``seed`` (SeedSequence spawn)."""
@@ -60,11 +71,18 @@ def gaussian_matrix(rows, cols, seed):
 def range_finder(a, width, seed):
     """Orthonormal basis Q of the sketched range of ``a`` (one-pass, no power iterations).
 
-    Q = qr(A @ Omega).Q with Omega an n-by-min(width, m, n) Gaussian sketch:
-    past that cap a sketch compresses nothing, as Q already spans the range
-    of a full-rank ``a``.  The only place a Gaussian sketch is drawn.
+    Q is the Q factor of A @ Omega, with Omega an n-by-min(width, m, n)
+    Gaussian sketch: past that cap a sketch compresses nothing, as Q already
+    spans the range of a full-rank ``a``.  The only place a Gaussian sketch
+    is drawn (HMT, arXiv:0909.4061, Alg. 4.1).
+
+    The QR is ``linalg.qr_stack``'s: CholeskyQR2 on a well-conditioned
+    sketch, one Householder QR on a rank-deficient or ill-conditioned one.
+    The two routes give Q different column signs; the library feeds every
+    Q to the GSVD kernel, whose sign convention makes the factors, and so
+    the realization of a seeded run, independent of them.
     """
     a = as_matrix(a)
     omega = gaussian_matrix(a.shape[1], min(width, *a.shape), seed)
-    q, _ = qr_thin(a @ omega)
-    return q
+    q, _ = qr_stack([a @ omega])
+    return q.rows(0, a.shape[0])

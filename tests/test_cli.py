@@ -149,7 +149,7 @@ def _plateau_warnings(argv):
 def test_sketched_ldeim_gcur_does_not_warn_about_unsketched_pairs(exp1_pair,
                                                                   tmp_path):
     # khat + p = 15 < k = 20: the gammas past the sketch width are zero by
-    # construction, but L-DEIM reads only the first khat pairs
+    # construction, but L-DEIM reads only the first khat + p pairs
     _, _, pa, pe = exp1_pair
     code, caught = _plateau_warnings(
         ["gcur", "--a", pa, "--b", pe, "-k", "20", "--method", "ldeim",
@@ -322,14 +322,19 @@ def _command(name, paths, k):
 @pytest.mark.parametrize("command", ["cur", "gcur", "rsvd-cur"])
 def test_report_khat_is_what_the_selection_read(ci_inputs, tmp_path, command,
                                                 method, khat):
-    # k for DEIM, the L-DEIM budget ceil(k/2) otherwise, on every path
-    runs = [[]] if command == "cur" else [[], ["--randomized", "--seed", "4"]]
-    for extra in runs:
+    # k for DEIM, the L-DEIM budget ceil(k/2) on a deterministic run, and
+    # min(k, khat + p) on a randomized one: every column the sketch paid
+    # for, so the default p = 5 reads all k = 6 and p = 0 reads the budget
+    runs = [([], khat)]
+    if command != "cur":
+        runs += [(["--randomized", "--seed", "4"], "6"),
+                 (["--randomized", "--seed", "4", "-p", "0"], khat)]
+    for extra, read in runs:
         report = tmp_path / "r.csv"
         argv = _command(command, ci_inputs, 6) + ["--method", method, *extra]
         assert run(argv + ["--report", str(report)]) == 0
         (row,) = read_report(report)
-        assert row["khat"] == khat, extra
+        assert row["khat"] == read, extra
 
 
 @pytest.mark.parametrize("command", ["cur", "gcur", "rsvd-cur"])

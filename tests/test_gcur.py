@@ -189,24 +189,47 @@ def test_ldeim_sketch_is_budget_plus_oversampling_wide():
 def test_sketch_past_n_selects_the_deterministic_indices(seed):
     # k + p = 13 and khat + p = 11 exceed n = 8: the sketch stops at n
     # columns, spans all of range(A), and selects what the full GSVD selects
+    # at the count the randomized selection reads, min(k, khat + p)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((40, 8))
     b = rng.standard_normal((20, 8))
     cfg = SketchConfig(5, 8, seed=seed)
-    for khat, rand in ((None, r_deim_gcur), (cfg.ldeim_budget, r_ldeim_gcur)):
-        ref = gcur_deterministic(a, b, 5, khat)
+    khat, p = cfg.ldeim_budget, cfg.oversampling
+    for read, rand in ((None, r_deim_gcur), (min(5, khat + p), r_ldeim_gcur)):
+        ref = gcur_deterministic(a, b, 5, read)
         fac = rand(a, b, cfg)
         for name in ("p", "s_a", "s_b"):
             assert np.array_equal(getattr(fac, name), getattr(ref, name))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_ldeim_without_oversampling_keeps_the_papers_budget(seed):
+    # p = 0 reads khat columns, as Gidisu & Hochstenbach's L-DEIM does.  A
+    # is rank khat up to 1e-9, so a khat-wide sketch spans its range and
+    # the randomized factors agree with the full GSVD's leading khat columns
+    rng = np.random.default_rng(seed)
+    k, khat = 6, 3
+    a = lowrank(seed, 40, 12, khat) + 1e-9 * rng.standard_normal((40, 12))
+    b = rng.standard_normal((20, 12))
+    cfg = SketchConfig(k, 0, ldeim_budget=khat, seed=seed)
+    assert cfg.columns_read() == khat
+    ref = gcur_deterministic(a, b, k, khat)
+    fac = r_ldeim_gcur(a, b, cfg)
+    for name in ("p", "s_a", "s_b"):
+        assert np.array_equal(getattr(fac, name), getattr(ref, name))
+
+
 # the stacked 2000x300 pair takes the blocked triangular inverse (n > 128) on
 # both paths; k <= 50 stays below the pair's numerical rank, past which
-# gamma/beta = 1 clusters let roundoff choose the basis
+# gamma/beta = 1 clusters let roundoff choose the basis.  The exp4 triplet
+# (seed 8) pins the RSVD's second sketch, drawn against U_1: without the
+# GSVD sign convention its realization followed the column signs LAPACK
+# gave U_1, which differ between thread counts there
 _THREAD_SWEEP = """
 import json
-from rcur.bench import exp1_instance
+from rcur.bench import exp1_instance, exp4_instance
 from rcur.gcur import gcur_deterministic, r_ldeim_gcur
+from rcur.rsvd_cur import r_ldeim_rsvd_cur
 from rcur.sketch import SketchConfig
 out = []
 for seed in (0, 1):
@@ -215,6 +238,11 @@ for seed in (0, 1):
         for f in (gcur_deterministic(a_e, e, k),
                   r_ldeim_gcur(a_e, e, SketchConfig(k, 5, seed=seed))):
             out.append([f.p.tolist(), f.s_a.tolist(), f.s_b.tolist()])
+_, a_e, b, g = exp4_instance(1000, 500, 100, 0.1, 8)
+for khat in (10, 5):
+    f = r_ldeim_rsvd_cur(a_e, b, g,
+                         SketchConfig(10, 80, ldeim_budget=khat, seed=8))
+    out.append([f.p.tolist(), f.p_b.tolist(), f.s.tolist(), f.s_g.tolist()])
 print(json.dumps(out))
 """
 
@@ -236,7 +264,7 @@ def _under_thread_counts(script, *args):
 
 def test_indices_identical_across_blas_thread_counts():
     runs = _under_thread_counts(_THREAD_SWEEP)
-    assert len(runs[0]) == 12
+    assert len(runs[0]) == 14
     assert runs[0] == runs[1]
 
 

@@ -32,6 +32,29 @@ def test_reconstruction_and_normalization(seed):
     assert np.allclose(f.gamma**2 + f.beta**2, 1.0, atol=1e-10)
 
 
+def _max_entries_of_y(f):
+    return f.y[np.abs(f.y).argmax(axis=0), np.arange(f.y.shape[1])]
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_y_columns_are_sign_canonical(seed):
+    # the largest-magnitude entry of every Y column is positive, with U and
+    # V flipped alongside, so both reconstructions still hold; the sketch
+    # (k + p < n) leaves U narrower than Y
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 20))
+    a = rng.standard_normal((int(rng.integers(n, 50)), n))
+    b = rng.standard_normal((int(rng.integers(n, 40)), n))
+    rand, q = randomized_gsvd(a, b, SketchConfig(2, 1, seed=seed))
+    assert rand.u.shape[1] == 3 < n
+    for f, a_seen in ((gsvd(a, b), a), (rand, q @ (q.T @ a))):
+        assert np.all(_max_entries_of_y(f) > 0.0)
+        assert np.linalg.norm(f.reconstruct_a() - a_seen) <= (
+            1e-9 * np.linalg.norm(a))
+        assert np.linalg.norm(f.reconstruct_b() - b) <= 1e-9 * np.linalg.norm(b)
+
+
 def test_orthonormal_factors():
     a, b = random_pair(0)
     f = gsvd(a, b)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import rcur.rsvd
+from rcur.bench import exp4_instance
 from rcur.linalg import RankDeficiencyError
 from rcur.rsvd import rsvd_deterministic
 from rcur.rsvd_cur import (
@@ -97,3 +99,25 @@ def test_bound_evaluator_dominates_errors():
     assert err_b <= bound.bound_b
     assert err_g <= bound.bound_g
     assert bound.eta_b > 0 and bound.eta_g > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_randomized_indices_do_not_depend_on_sketch_column_signs(seed,
+                                                                 monkeypatch):
+    # Householder QR and CholeskyQR2 give a sketch basis different column
+    # signs.  The second sketch is drawn against U_1, so only the GSVD's
+    # sign convention keeps its realization, and the indices, independent
+    # of them: flip every other column of both sketch bases
+    _, a_e, b, g = exp4_instance(1000, 500, 100, 0.1, seed)
+    cfg = SketchConfig(10, 80, ldeim_budget=5, seed=seed)
+    ref = r_ldeim_rsvd_cur(a_e, b, g, cfg)
+    find = rcur.rsvd.range_finder
+
+    def flipped(a, width, seed):
+        q = find(a, width, seed)
+        return q * np.where(np.arange(q.shape[1]) % 2, -1.0, 1.0)
+
+    monkeypatch.setattr(rcur.rsvd, "range_finder", flipped)
+    fac = r_ldeim_rsvd_cur(a_e, b, g, cfg)
+    for name in ("p", "p_b", "s", "s_g"):
+        assert np.array_equal(getattr(fac, name), getattr(ref, name)), name
