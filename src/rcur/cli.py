@@ -85,8 +85,7 @@ def _selection(args):
 def _cmd_gsvd(args):
     a, b = _read(args.a), _read(args.b)
     if args.randomized:
-        cfg = _config(args)
-        factors, _ = randomized_gsvd(a, b, cfg, cfg.ldeim_budget)
+        factors = randomized_gsvd(a, b, _config(args))
     else:
         factors = gsvd(a, b)
     write_matrix(f"{args.out_prefix}_U.mtx", factors.u)
@@ -104,8 +103,7 @@ def _cmd_gsvd(args):
 def _cmd_rsvd(args):
     a, b, g = _read(args.a), _read(args.b), _read(args.g)
     if args.randomized:
-        cfg = _config(args)
-        factors = randomized_rsvd(a, b, g, cfg, cfg.ldeim_budget)
+        factors = randomized_rsvd(a, b, g, _config(args))
     else:
         factors = rsvd_deterministic(a, b, g)
     write_matrix(f"{args.out_prefix}_Z.mtx", factors.z)

@@ -156,7 +156,7 @@ def r_ldeim_gcur(a, b, cfg: SketchConfig):
     """Randomized L-DEIM GCUR: a khat + p wide sketch, of which L-DEIM reads
     ``cfg.columns_read()`` = min(k, khat + p) columns and extends to k
     indices."""
-    factors, _ = randomized_gsvd(a, b, cfg, cfg.ldeim_budget)
+    factors = randomized_gsvd(a, b, cfg)
     return gcur_from_factors(a, b, factors, cfg.target_rank,
                              cfg.columns_read())
 

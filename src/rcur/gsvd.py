@@ -156,17 +156,16 @@ def gsvd(a, b):
     return _cs_gsvd(a, b)
 
 
-def randomized_gsvd(a, b, cfg: SketchConfig, khat=None):
+def randomized_gsvd(a, b, cfg: SketchConfig):
     """Randomized GSVD: exact GSVD of (Q Q^T A, B) on a sketched range of A.
 
-    Returns (factors, q) where q is the m-by-w range basis of A from
-    ``range_finder``: w is ``cfg.width(khat)``, the khat (k when None)
-    basis columns the selection reads plus p, capped at min(m, n).  The U
-    factor has w columns; B is factored exactly, A only through its
-    projection onto range(q), which at the cap is A itself.
+    Q is the m-by-w range basis of A from ``range_finder``, w =
+    ``cfg.width()`` = khat + p capped at min(m, n).  The U factor has w
+    orthonormal columns spanning range(Q); B is factored exactly, A only
+    through its projection U U^T A, which at the cap is A itself.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
-    q = range_finder(a, cfg.width(khat), cfg.seed)
+    q = range_finder(a, cfg.width(), cfg.seed)
     factors = _cs_gsvd(q.T @ a, b)
-    return replace(factors, u=q @ factors.u), q
+    return replace(factors, u=q @ factors.u)

@@ -6,12 +6,13 @@ rank, the triplet is factored as
     A = Z D_A W^T,    B = Z D_B U^T,    G = V D_G W^T,
 
 with Z (m-by-m) and W (n-by-n) nonsingular and U, V orthogonal.  The route:
-a GSVD of (A, G), then a GSVD of (B^T U1, Sigma1^{-1} Gamma1^T), with the
-diagonal scaling gamma_i = sigma_i / sqrt(sigma_i^2 + 1) which yields
+a GSVD of (A, G) through G's QR, then a GSVD of (B^T U1,
+Sigma1^{-1} Gamma1^T), with the diagonal scaling
+gamma_i = sigma_i / sqrt(sigma_i^2 + 1) which yields
 alpha_i^2 + beta_i^2 + gamma_i^2 = 1.
 
 The A-factorization is exact on both the deterministic and the randomized
-path; on the randomized path B and G are only approximately factored, with
+path; on the randomized path only B is approximately factored, with
 sketch-tail error bounds.
 """
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .linalg import (
     RankDeficiencyError,
     as_matrix,
     complete_orthonormal,
+    qr_stack,
 )
 from .gsvd import _cs_gsvd
 from .sketch import SketchConfig, range_finder, split_seed
@@ -122,6 +124,21 @@ def _sigma_inv_gamma_t(f1, m):
     return x
 
 
+def _first_stage(a, b, g):
+    """(f1, U_1, Sigma_1^{-1} Gamma_1^T, B^T U_1), shared by both paths.
+
+    f1 is the GSVD of (G, A), taken as that of (R_G, A) with W lifted to
+    Q_G W for G = Q_G R_G (``qr_stack``): an n-by-n CS step instead of a
+    d-by-n one (Chan, ACM TOMS 8, 1982).  U_1 is completed to m-by-m.
+    """
+    a, b, g = _check_triplet(a, b, g)
+    q, r = qr_stack([g])
+    f1 = _cs_gsvd(r, a)
+    f1 = replace(f1, u=q.rows(0, g.shape[0], f1.u))
+    u1_full = complete_orthonormal(f1.v)
+    return f1, u1_full, _sigma_inv_gamma_t(f1, a.shape[0]), b.T @ u1_full
+
+
 def rsvd_deterministic(a, b, g):
     """Deterministic RSVD of a triplet.
 
@@ -130,41 +147,26 @@ def rsvd_deterministic(a, b, g):
     the ``rcur rsvd`` factor files hold them, and criteria 5 and 6 time this
     baseline with the completion: without it their speed clauses would fail.
     """
-    a, b, g = _check_triplet(a, b, g)
-    m = a.shape[0]
-    f1 = _cs_gsvd(g, a)
-    u1_full = complete_orthonormal(f1.v)
-    x = _sigma_inv_gamma_t(f1, m)
-    bt_u1 = b.T @ u1_full
+    f1, u1_full, x, bt_u1 = _first_stage(a, b, g)
     f2 = _cs_gsvd(x, bt_u1, require_full_rank=False)
     factors = _assemble(f1, u1_full, f2, f2.v)
     return replace(factors, u=complete_orthonormal(factors.u),
                    v=complete_orthonormal(factors.v))
 
 
-def randomized_rsvd(a, b, g, cfg: SketchConfig, khat=None):
-    """Randomized RSVD: both inner GSVDs act on sketched projections.
+def randomized_rsvd(a, b, g, cfg: SketchConfig):
+    """Randomized RSVD: ``_first_stage``, then the second GSVD on a sketch.
 
-    Both sketches come from ``range_finder``, never wider than the matrix
-    they compress: G at full width n (so Sigma_1 stays square), and the
-    l-by-m product B^T U_1 at ``cfg.width(khat)`` columns (khat, or k when
-    None, plus p), raised to at least m - n + 1 so the reduced pair stays
-    well posed.  The second sketch is drawn against U_1, so its realization
-    would follow U_1's column signs; the GSVD sign convention fixes them,
-    and the factors do not depend on which QR route ``range_finder`` took
-    or on the BLAS thread count.
+    The one sketch (``range_finder``) compresses the l-by-m product B^T U_1
+    to ``cfg.width()`` = khat + p columns, raised to at least m - n + 1 so
+    the reduced pair stays well posed.  Its realization would follow U_1's
+    column signs; the GSVD sign convention fixes them, so the factors do not
+    depend on the QR route or the BLAS thread count.
     """
-    a, b, g = _check_triplet(a, b, g)
-    m, n = a.shape
-    seed1, seed2 = split_seed(cfg.seed, 2)
-
-    h1 = range_finder(g, n, seed1)
-    f1 = _cs_gsvd(h1.T @ g, a)
-    f1 = replace(f1, u=h1 @ f1.u)
-    u1_full = complete_orthonormal(f1.v)
-
-    x = _sigma_inv_gamma_t(f1, m)
-    bt_u1 = b.T @ u1_full
-    h2 = range_finder(bt_u1, max(cfg.width(khat), m - n + 1), seed2)
+    f1, u1_full, x, bt_u1 = _first_stage(a, b, g)
+    n, m = x.shape
+    # child 0 seeded a sketch of G, now G's QR; child 1 keeps Omega_2's draws
+    _, seed2 = split_seed(cfg.seed, 2)
+    h2 = range_finder(bt_u1, max(cfg.width(), m - n + 1), seed2)
     f2 = _cs_gsvd(x, h2.T @ bt_u1, require_full_rank=False)
     return _assemble(f1, u1_full, f2, h2 @ f2.v)

@@ -96,10 +96,10 @@ def rsvd_cur(a, b, g, k, khat=None):
 
 
 def r_ldeim_rsvd_cur(a, b, g, cfg: SketchConfig):
-    """Randomized L-DEIM RSVD-CUR: a khat + p wide second sketch, of which
+    """Randomized L-DEIM RSVD-CUR: a khat + p wide sketch of B^T U_1, of which
     L-DEIM reads ``cfg.columns_read()`` = min(k, khat + p) columns; k
     indices."""
-    factors = randomized_rsvd(a, b, g, cfg, cfg.ldeim_budget)
+    factors = randomized_rsvd(a, b, g, cfg)
     return rsvd_cur_from_factors(a, b, g, factors, cfg.target_rank,
                                  cfg.columns_read())
 
@@ -127,7 +127,8 @@ def rsvdcur_bound(a, b, g, factors: RsvdFactors, k, khat, p):
 
     _, sg, _ = svd_thin(g)
     _, sb, _ = svd_thin(b)
-    # G's sketch is full width n, i.e. oversampling n - khat
+    # no sketch of G exists; e_g keeps the full-width bound (oversampling
+    # n - khat), which criterion 7 holds 100/100 against
     e_g = sketch_tail_bound(sg, khat, max(n - khat, 1))
     e_b = sketch_tail_bound(sb, khat, p)
 

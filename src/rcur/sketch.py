@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, qr_stack
-from .selection import check_rank, default_khat, leading_columns
+from .selection import check_rank, default_khat
 
 __all__ = ["SketchConfig", "gaussian_matrix", "range_finder", "split_seed"]
 
@@ -36,12 +36,10 @@ class SketchConfig:
             object.__setattr__(self, "ldeim_budget",
                                default_khat(self.target_rank))
 
-    def width(self, khat=None):
-        """Sketch width for a selection with L-DEIM budget ``khat`` (None: k):
-        the basis columns it reads plus p, which ``range_finder`` caps at
-        min(rows, cols) of what it sketches."""
-        check_rank(self.target_rank, khat)
-        return leading_columns(self.target_rank, khat) + self.oversampling
+    def width(self):
+        """Sketch width khat + p, which ``range_finder`` caps at
+        min(rows, cols) of what it sketches; khat = k makes it DEIM's."""
+        return self.ldeim_budget + self.oversampling
 
     def columns_read(self):
         """Basis columns a randomized selection reads: min(k, khat + p).
@@ -51,7 +49,7 @@ class SketchConfig:
         Gidisu & Hochstenbach (2022), whose L-DEIM reads only khat; p = 0
         keeps their rule, and khat = k (DEIM) reads k either way.
         """
-        return min(self.target_rank, self.width(self.ldeim_budget))
+        return min(self.target_rank, self.width())
 
 
 def split_seed(seed, n):

@@ -67,11 +67,12 @@ def test_public_entry_points_reject_nan(fn, args, pos):
 
 
 K_P, KHAT_P = 4 + 2, 2 + 2
+DEIM_CFG = SketchConfig(4, 2, ldeim_budget=4, seed=0)
 
 
 @pytest.mark.parametrize("call,expected", [
-    (lambda: randomized_gsvd(A, B, CFG), K_P),
-    (lambda: randomized_gsvd(A, B, CFG, CFG.ldeim_budget), KHAT_P),
+    (lambda: randomized_gsvd(A, B, DEIM_CFG), K_P),
+    (lambda: randomized_gsvd(A, B, CFG), KHAT_P),
     (lambda: r_deim_gcur(A, B, CFG), K_P),
     (lambda: r_ldeim_gcur(A, B, CFG), KHAT_P),
 ], ids=["gsvd-deim", "gsvd-ldeim", "r_deim_gcur", "r_ldeim_gcur"])
@@ -81,23 +82,23 @@ def test_gsvd_sketch_is_as_wide_as_config_says(widths, call, expected):
 
 
 @pytest.mark.parametrize("call,expected", [
-    (lambda: randomized_rsvd(TA, TB, TG, CFG), K_P),
-    (lambda: randomized_rsvd(TA, TB, TG, CFG, CFG.ldeim_budget), KHAT_P),
+    (lambda: randomized_rsvd(TA, TB, TG, DEIM_CFG), K_P),
+    (lambda: randomized_rsvd(TA, TB, TG, CFG), KHAT_P),
     (lambda: r_ldeim_rsvd_cur(TA, TB, TG, CFG), KHAT_P),
 ], ids=["rsvd-deim", "rsvd-ldeim", "r_ldeim_rsvd_cur"])
 def test_rsvd_second_sketch_is_as_wide_as_config_says(widths, call, expected):
-    # the first sketch is full width n = 8; the second is the config's
-    # width, above the m - n + 1 = 3 floor and below l = 30
+    # G is factored through its QR, not sketched; the one sketch is the
+    # config's width, above the m - n + 1 = 3 floor and below l = 30
     call()
-    assert widths == [TA.shape[1], expected]
+    assert widths == [expected]
 
 
 def test_no_sketch_is_wider_than_the_matrix_it_compresses(widths):
     # k + p = 24 asks for more columns than A (n = 12) and than the l-by-m
     # product B^T U_1 (m = 10) have; each draw stops at that matrix's width
-    wide = SketchConfig(4, 20, seed=0)
+    wide = SketchConfig(4, 20, ldeim_budget=4, seed=0)
     randomized_gsvd(A, B, wide)
     assert widths == [A.shape[1]]
     widths.clear()
     randomized_rsvd(TA, TB, TG, wide)
-    assert widths == [TA.shape[1], TA.shape[0]]
+    assert widths == [TA.shape[0]]

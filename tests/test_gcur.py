@@ -222,7 +222,7 @@ def test_ldeim_without_oversampling_keeps_the_papers_budget(seed):
 # the stacked 2000x300 pair takes the blocked triangular inverse (n > 128) on
 # both paths; k <= 50 stays below the pair's numerical rank, past which
 # gamma/beta = 1 clusters let roundoff choose the basis.  The exp4 triplet
-# (seed 8) pins the RSVD's second sketch, drawn against U_1: without the
+# (seed 8) pins the RSVD's sketch of B^T U_1, drawn against U_1: without the
 # GSVD sign convention its realization followed the column signs LAPACK
 # gave U_1, which differ between thread counts there
 _THREAD_SWEEP = """

@@ -46,9 +46,9 @@ def test_y_columns_are_sign_canonical(seed):
     n = int(rng.integers(4, 20))
     a = rng.standard_normal((int(rng.integers(n, 50)), n))
     b = rng.standard_normal((int(rng.integers(n, 40)), n))
-    rand, q = randomized_gsvd(a, b, SketchConfig(2, 1, seed=seed))
+    rand = randomized_gsvd(a, b, SketchConfig(2, 1, ldeim_budget=2, seed=seed))
     assert rand.u.shape[1] == 3 < n
-    for f, a_seen in ((gsvd(a, b), a), (rand, q @ (q.T @ a))):
+    for f, a_seen in ((gsvd(a, b), a), (rand, rand.u @ (rand.u.T @ a))):
         assert np.all(_max_entries_of_y(f) > 0.0)
         assert np.linalg.norm(f.reconstruct_a() - a_seen) <= (
             1e-9 * np.linalg.norm(a))
@@ -106,9 +106,8 @@ def test_rejects_rank_deficient_stack():
 
 def test_randomized_factors_b_exactly():
     a, b = random_pair(6, m=80, d=40, n=30)
-    factors, q = randomized_gsvd(a, b, SketchConfig(5, 5, seed=1))
+    factors = randomized_gsvd(a, b, SketchConfig(5, 5, ldeim_budget=5, seed=1))
     assert np.linalg.norm(factors.reconstruct_b() - b) <= 1e-9 * np.linalg.norm(b)
-    assert q.shape == (80, 10)
     assert factors.u.shape == (80, 10)
 
 
@@ -116,8 +115,9 @@ def test_randomized_error_bounded_by_projection():
     # the A-side error of the sketched factorization equals the range-finder
     # projection error
     a, b = random_pair(7, m=60, d=35, n=25)
-    factors, q = randomized_gsvd(a, b, SketchConfig(6, 4, seed=2))
-    proj_err = np.linalg.norm(a - q @ (q.T @ a), 2)
+    factors = randomized_gsvd(a, b, SketchConfig(6, 4, ldeim_budget=6, seed=2))
+    u = factors.u
+    proj_err = np.linalg.norm(a - u @ (u.T @ a), 2)
     recon = factors.reconstruct_a()
     assert np.linalg.norm(a - recon, 2) <= proj_err + 1e-8
 
@@ -125,7 +125,7 @@ def test_randomized_error_bounded_by_projection():
 def test_randomized_full_width_matches_deterministic_values():
     a, b = random_pair(8, m=50, d=30, n=20)
     det = gsvd(a, b)
-    rand, _ = randomized_gsvd(a, b, SketchConfig(15, 5, seed=3))
+    rand = randomized_gsvd(a, b, SketchConfig(15, 5, ldeim_budget=15, seed=3))
     assert np.allclose(np.sort(rand.gamma), np.sort(det.gamma), atol=1e-9)
     assert np.linalg.norm(rand.reconstruct_a() - a) <= 1e-8 * np.linalg.norm(a)
 
@@ -133,9 +133,9 @@ def test_randomized_full_width_matches_deterministic_values():
 def test_randomized_clamps_excess_width():
     # k + p = 19 > n = 15: the basis stops at n columns and A is exact
     a, b = random_pair(9)
-    factors, q = randomized_gsvd(a, b, SketchConfig(14, 5, seed=0))
-    assert q.shape == factors.u.shape == (40, 15)
-    assert np.allclose(q.T @ q, np.eye(15), atol=1e-12)
+    factors = randomized_gsvd(a, b, SketchConfig(14, 5, ldeim_budget=14, seed=0))
+    assert factors.u.shape == (40, 15)
+    assert np.allclose(factors.u.T @ factors.u, np.eye(15), atol=1e-12)
     err = np.linalg.norm(factors.reconstruct_a() - a)
     assert err <= 1e-10 * np.linalg.norm(a)
 

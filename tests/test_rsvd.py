@@ -87,11 +87,44 @@ def test_randomized_a_exact_b_g_approximate():
     a, b, g = random_triplet(5, m=30, n=20, d=40, ell=50)
     f = randomized_rsvd(a, b, g, SketchConfig(5, 5, seed=7))
     assert np.linalg.norm(f.reconstruct_a() - a) <= 1e-8 * np.linalg.norm(a)
-    # G is factored through a full-width sketch: exact up to roundoff
+    # G is factored through its QR, never sketched: exact up to roundoff
     assert np.linalg.norm(f.reconstruct_g() - g) <= 1e-8 * np.linalg.norm(g)
     # B goes through a narrow sketch: approximate but bounded
     err_b = np.linalg.norm(f.reconstruct_b() - b, 2)
     assert err_b <= np.linalg.norm(b, 2)
+
+
+def _graded_g(rng, d, n, kappa):
+    """d-by-n G with singular values logspace(0, -log10(kappa), n)."""
+    q_left, _ = np.linalg.qr(rng.standard_normal((d, n)))
+    q_right, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q_left * np.logspace(0, -np.log10(kappa), n)) @ q_right.T
+
+
+@pytest.mark.parametrize("randomized", [False, True], ids=["det", "rand"])
+def test_ill_conditioned_g_takes_the_householder_route(randomized,
+                                                       householder_shapes):
+    # kappa(G) = 1e9 is past CholeskyQR2's reach (about 1e7), so the first
+    # stage factors G by one Householder QR, the first QR the RSVD runs;
+    # a well-conditioned G takes CholeskyQR2.  Both paths still reproduce
+    # A and G
+    m, n, d, ell = 20, 12, 30, 40
+    a, b, _ = random_triplet(10, m, n, d, ell)
+    rng = np.random.default_rng(10)
+
+    def factor(g):
+        if randomized:
+            return randomized_rsvd(a, b, g, SketchConfig(5, 5, seed=0))
+        return rsvd_deterministic(a, b, g)
+
+    factor(_graded_g(rng, d, n, 10.0))
+    assert householder_shapes[0] != (d, n)
+    householder_shapes.clear()
+    g = _graded_g(rng, d, n, 1e9)
+    f = factor(g)
+    assert householder_shapes[0] == (d, n)
+    assert np.linalg.norm(f.reconstruct_a() - a) <= 1e-8 * np.linalg.norm(a)
+    assert np.linalg.norm(f.reconstruct_g() - g) <= 1e-8 * np.linalg.norm(g)
 
 
 def test_randomized_reproducible():

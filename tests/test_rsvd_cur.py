@@ -105,9 +105,9 @@ def test_bound_evaluator_dominates_errors():
 def test_randomized_indices_do_not_depend_on_sketch_column_signs(seed,
                                                                  monkeypatch):
     # Householder QR and CholeskyQR2 give a sketch basis different column
-    # signs.  The second sketch is drawn against U_1, so only the GSVD's
-    # sign convention keeps its realization, and the indices, independent
-    # of them: flip every other column of both sketch bases
+    # signs.  The sketch of B^T U_1 is drawn against U_1, so only the
+    # GSVD's sign convention keeps its realization, and the indices,
+    # independent of them: flip every other column of the sketch basis
     _, a_e, b, g = exp4_instance(1000, 500, 100, 0.1, seed)
     cfg = SketchConfig(10, 80, ldeim_budget=5, seed=seed)
     ref = r_ldeim_rsvd_cur(a_e, b, g, cfg)

@@ -287,7 +287,7 @@ def test_randomized_deim_is_ldeim_at_full_budget_on_exp1(seed):
     full = SketchConfig(20, 5, ldeim_budget=20, seed=seed)
     _assert_same_factors(r_deim_gcur(a_e, e, cfg), r_ldeim_gcur(a_e, e, full),
                          ("p", "s_a", "s_b", "m_a", "m_b"))
-    factors, _ = randomized_gsvd(a_e, e, cfg)
+    factors = randomized_gsvd(a_e, e, full)
     for basis in (factors.y, factors.u, factors.v):
         assert np.array_equal(select_indices(basis, 20),
                               deim_oracle(basis[:, :20]))

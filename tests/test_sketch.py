@@ -21,11 +21,12 @@ def test_config_validation():
         SketchConfig(5, ldeim_budget=6)
     with pytest.raises(ValueError):
         SketchConfig(5, ldeim_budget=0)
-    # a budget handed to width directly is held to the same 1 <= khat <= k
+    # the width is the config's own budget plus p: ceil(k/2) + p by default
     for khat in (0, 6):
         with pytest.raises(ValueError, match="1 <= khat <= k"):
-            SketchConfig(5, 2).width(khat)
-    assert (SketchConfig(5, 2).width(), SketchConfig(5, 2).width(3)) == (7, 5)
+            SketchConfig(5, 2, ldeim_budget=khat)
+    assert (SketchConfig(5, 2, ldeim_budget=5).width(),
+            SketchConfig(5, 2).width()) == (7, 5)
 
 
 def test_gaussian_matrix_reproducible_and_distinct():
