@@ -52,135 +52,62 @@ def _join_indices(idx):
     return ";".join(str(int(i)) for i in idx)
 
 
-def _read(path):
-    if str(path).endswith(".csv"):
-        return read_csv(path)
-    return read_matrix(path)
-
-
-def _khat(args):
-    """L-DEIM budget: k for ``--method deim``, else ``--khat`` (default
-    ceil(k/2)).  A deterministic selection reads that many basis columns."""
-    if args.method == "deim":
-        return args.k
-    return default_khat(args.k) if args.khat is None else args.khat
-
-
-def _config(args):
-    """Sketch parameters of a randomized run, its budget from ``_khat``."""
-    return SketchConfig(args.k, args.oversampling, ldeim_budget=_khat(args),
-                        seed=args.seed)
-
-
 def _selection(args):
-    """(cfg, khat): the randomized run's config (None when deterministic)
-    and the basis columns the selection reads, which every report's khat
-    column gives: min(k, khat + p) on a randomized run."""
+    """(cfg, khat): the randomized run's sketch config (None when
+    deterministic) and the basis columns the selection reads, which every
+    report's khat column gives.  khat is k for ``--method deim``, else
+    ``--khat`` (default ceil(k/2)); a randomized run reads min(k, khat + p)."""
+    if args.method == "deim":
+        khat = args.k
+    else:
+        khat = default_khat(args.k) if args.khat is None else args.khat
     if not args.randomized:
-        return None, _khat(args)
-    cfg = _config(args)
+        return None, khat
+    cfg = SketchConfig(args.k, args.oversampling, ldeim_budget=khat,
+                       seed=args.seed)
     return cfg, cfg.columns_read()
 
 
-def _cmd_gsvd(args):
-    a, b = _read(args.a), _read(args.b)
-    if args.randomized:
-        factors = randomized_gsvd(a, b, _config(args))
-    else:
-        factors = gsvd(a, b)
-    write_matrix(f"{args.out_prefix}_U.mtx", factors.u)
-    write_matrix(f"{args.out_prefix}_V.mtx", factors.v)
-    write_matrix(f"{args.out_prefix}_Y.mtx", factors.y)
-    ratio = factors.gamma / np.maximum(factors.beta, 1e-300)
-    rows = [
-        {"gamma": float(g), "beta": float(be), "ratio": float(r)}
-        for g, be, r in zip(factors.gamma, factors.beta, ratio)
-    ]
-    _write_report(f"{args.out_prefix}_vals.csv", rows, ["gamma", "beta", "ratio"])
+def _read_inputs(args):
+    """The input matrices, from ``.csv`` or Matrix Market files."""
+    return [read_csv(x) if x.endswith(".csv") else read_matrix(x)
+            for x in (getattr(args, name) for name in args.inputs)]
+
+
+def _factor_files(args):
+    """``gsvd``/``rsvd``: factor the inputs, write one ``.mtx`` per factor
+    in ``args.files`` and the per-index values as ``_vals.csv``."""
+    mats = _read_inputs(args)
+    factors = (args.rand(*mats, _selection(args)[0]) if args.randomized
+               else args.det(*mats))
+    for name in args.files:
+        write_matrix(f"{args.out_prefix}_{name}.mtx",
+                     getattr(factors, name.lower()))
+    vals = args.vals(factors)
+    rows = [{col: float(x) for col, x in zip(vals, xs)}
+            for xs in zip(*vals.values())]
+    _write_report(f"{args.out_prefix}_vals.csv", rows, list(vals))
     return 0
 
 
-def _cmd_rsvd(args):
-    a, b, g = _read(args.a), _read(args.b), _read(args.g)
-    if args.randomized:
-        factors = randomized_rsvd(a, b, g, _config(args))
-    else:
-        factors = rsvd_deterministic(a, b, g)
-    write_matrix(f"{args.out_prefix}_Z.mtx", factors.z)
-    write_matrix(f"{args.out_prefix}_W.mtx", factors.w)
-    write_matrix(f"{args.out_prefix}_U.mtx", factors.u)
-    write_matrix(f"{args.out_prefix}_V.mtx", factors.v)
-    rows = [
-        {"alpha": float(al), "beta": float(be), "gamma": float(ga)}
-        for al, be, ga in zip(factors.alpha, factors.beta, factors.gamma)
-    ]
-    _write_report(f"{args.out_prefix}_vals.csv", rows, ["alpha", "beta", "gamma"])
-    return 0
-
-
-def _cmd_cur(args):
-    a = _read(args.a)
-    khat = _khat(args)
-    t0 = time.perf_counter()
-    fac = deim_cur(a, args.k, khat)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    err = relative_error(a, fac.reconstruct(a))
-    rows = [{
-        "method": args.method, "k": args.k, "khat": khat, "p": "", "seed": "",
-        "err_a": err, "err_b": "", "wall_ms": wall_ms,
-        "indices_p": _join_indices(fac.p), "indices_s": _join_indices(fac.s),
-    }]
-    _write_report(args.report, rows, list(rows[0]))
-    return 0
-
-
-def _cmd_gcur(args):
-    a, b = _read(args.a), _read(args.b)
+def _report_row(args):
+    """``cur``/``gcur``/``rsvd-cur``: decompose the inputs, timing only the
+    library call, and write the one-row report."""
+    mats = _read_inputs(args)
     cfg, khat = _selection(args)
     t0 = time.perf_counter()
-    if cfg is not None:
-        fac = r_ldeim_gcur(a, b, cfg)
-    else:
-        fac = gcur_deterministic(a, b, args.k, khat)
+    fac = (args.det(*mats, args.k, khat) if cfg is None
+           else args.rand(*mats, cfg))
     wall_ms = (time.perf_counter() - t0) * 1e3
-    rows = [{
+    row = {
         "method": args.method, "k": args.k, "khat": khat,
-        "p": args.oversampling if args.randomized else "",
-        "seed": args.seed if args.randomized else "",
-        "err_a": gcur_error(a, fac),
-        "err_b": relative_error(b, fac.reconstruct_b(b)),
-        "wall_ms": wall_ms,
-        "indices_p": _join_indices(fac.p),
-        "indices_s_a": _join_indices(fac.s_a),
-        "indices_s_b": _join_indices(fac.s_b),
-    }]
-    _write_report(args.report, rows, list(rows[0]))
-    return 0
-
-
-def _cmd_rsvd_cur(args):
-    a, b, g = _read(args.a), _read(args.b), _read(args.g)
-    cfg, khat = _selection(args)
-    t0 = time.perf_counter()
-    if cfg is not None:
-        fac = r_ldeim_rsvd_cur(a, b, g, cfg)
-    else:
-        fac = rsvd_cur(a, b, g, args.k, khat)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    rows = [{
-        "method": args.method, "k": args.k, "khat": khat,
-        "p": args.oversampling if args.randomized else "",
-        "seed": args.seed if args.randomized else "",
-        "err_a": relative_error(a, fac.reconstruct_a(a)),
-        "err_b": relative_error(b, fac.reconstruct_b(b)),
-        "err_g": relative_error(g, fac.reconstruct_g(g)),
-        "wall_ms": wall_ms,
-        "indices_p": _join_indices(fac.p),
-        "indices_p_b": _join_indices(fac.p_b),
-        "indices_s": _join_indices(fac.s),
-        "indices_s_g": _join_indices(fac.s_g),
-    }]
-    _write_report(args.report, rows, list(rows[0]))
+        "p": "" if cfg is None else args.oversampling,
+        "seed": "" if cfg is None else args.seed,
+        **args.errors(fac, *mats), "wall_ms": wall_ms,
+    }
+    for name in args.indices:
+        row[f"indices_{name}"] = _join_indices(getattr(fac, name))
+    _write_report(args.report, [row], list(row))
     return 0
 
 
@@ -253,41 +180,63 @@ def _build_parser():
         p.add_argument("--randomized", action="store_true",
                        help="use the sketched variant")
 
-    p = sub.add_parser("gsvd", help="generalized SVD of a pair")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--out-prefix", required=True)
-    add_rand_flags(p)
-    p.set_defaults(func=_cmd_gsvd, needs_k_if_randomized=True)
+    def add_command(name, help, inputs, out):
+        # one path flag per input matrix, in the entry points' order
+        p = sub.add_parser(name, help=help)
+        for x in inputs:
+            p.add_argument(f"--{x}", required=True)
+        p.add_argument(out, required=True)
+        p.set_defaults(inputs=inputs)
+        return p
 
-    p = sub.add_parser("rsvd", help="restricted SVD of a triplet")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--out-prefix", required=True)
+    # factor commands: entry points, factor files and value columns
+    p = add_command("gsvd", "generalized SVD of a pair", ("a", "b"),
+                    "--out-prefix")
     add_rand_flags(p)
-    p.set_defaults(func=_cmd_rsvd, needs_k_if_randomized=True)
+    p.set_defaults(func=_factor_files, det=gsvd, rand=randomized_gsvd,
+                   files=("U", "V", "Y"),
+                   vals=lambda f: {
+                       "gamma": f.gamma, "beta": f.beta,
+                       "ratio": f.gamma / np.maximum(f.beta, 1e-300)})
 
-    p = sub.add_parser("cur", help="DEIM-type CUR of a single matrix")
-    p.add_argument("--a", required=True)
-    p.add_argument("--report", required=True)
+    p = add_command("rsvd", "restricted SVD of a triplet", ("a", "b", "g"),
+                    "--out-prefix")
+    add_rand_flags(p)
+    p.set_defaults(func=_factor_files, det=rsvd_deterministic,
+                   rand=randomized_rsvd, files=("Z", "W", "U", "V"),
+                   vals=lambda f: {"alpha": f.alpha, "beta": f.beta,
+                                   "gamma": f.gamma})
+
+    # report commands: entry points, error columns and index fields.
+    # deim_cur never sketches, so cur takes no sketch flags and its p, seed
+    # and err_b columns stay empty
+    p = add_command("cur", "DEIM-type CUR of a single matrix", ("a",),
+                    "--report")
     add_rank_flags(p, k_required=True)
-    p.set_defaults(func=_cmd_cur)
+    p.set_defaults(func=_report_row, randomized=False, det=deim_cur,
+                   indices=("p", "s"),
+                   errors=lambda fac, a: {
+                       "err_a": relative_error(a, fac.reconstruct(a)),
+                       "err_b": ""})
 
-    p = sub.add_parser("gcur", help="generalized CUR of a pair")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--report", required=True)
+    p = add_command("gcur", "generalized CUR of a pair", ("a", "b"),
+                    "--report")
     add_rand_flags(p, k_required=True)
-    p.set_defaults(func=_cmd_gcur)
+    p.set_defaults(func=_report_row, det=gcur_deterministic, rand=r_ldeim_gcur,
+                   indices=("p", "s_a", "s_b"),
+                   errors=lambda fac, a, b: {
+                       "err_a": gcur_error(a, fac),
+                       "err_b": relative_error(b, fac.reconstruct_b(b))})
 
-    p = sub.add_parser("rsvd-cur", help="RSVD-CUR of a triplet")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--report", required=True)
+    p = add_command("rsvd-cur", "RSVD-CUR of a triplet", ("a", "b", "g"),
+                    "--report")
     add_rand_flags(p, k_required=True)
-    p.set_defaults(func=_cmd_rsvd_cur)
+    p.set_defaults(func=_report_row, det=rsvd_cur, rand=r_ldeim_rsvd_cur,
+                   indices=("p", "p_b", "s", "s_g"),
+                   errors=lambda fac, a, b, g: {
+                       "err_a": relative_error(a, fac.reconstruct_a(a)),
+                       "err_b": relative_error(b, fac.reconstruct_b(b)),
+                       "err_g": relative_error(g, fac.reconstruct_g(g))})
 
     p = sub.add_parser("synth", help="write synthetic benchmark matrices")
     p.add_argument("--kind", required=True,
@@ -337,9 +286,8 @@ def run(argv=None):
     """Parse ``argv`` and dispatch; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "needs_k_if_randomized", False):
-        if args.randomized and args.k is None:
-            parser.error(f"{args.command}: --randomized requires -k")
+    if getattr(args, "randomized", False) and args.k is None:
+        parser.error(f"{args.command}: --randomized requires -k")
     if getattr(args, "khat", None) is not None and args.method != "ldeim":
         parser.error(f"{args.command}: --khat requires --method ldeim")
     try:

@@ -252,14 +252,14 @@ def complete_orthonormal(q):
     """Extend an m-by-n orthonormal-column matrix to a full m-by-m orthogonal one.
 
     The first n columns of the result equal ``q`` exactly; the remaining
-    columns are a deterministic orthonormal basis of the complement.
+    columns are a deterministic orthonormal basis of the complement.  A
+    ``q`` whose columns are orthonormal only roughly (the RSVD's B-side
+    factor when G is ill-conditioned) is kept as given, so a product it
+    carries survives the completion.
     """
     m, n = q.shape
     if m == n:
         return q
-    full, r = np.linalg.qr(q, mode="complete")
-    # qr may flip column signs relative to q; undo so the leading block is q.
-    signs = np.sign(np.diag(r[:n, :n]))
-    signs[signs == 0] = 1.0
-    full[:, :n] *= signs
+    full = np.linalg.qr(q, mode="complete")[0]
+    full[:, :n] = q
     return full

@@ -280,12 +280,16 @@ def test_missing_file_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_usage_error_exits_two(pair, tmp_path):
+def test_usage_error_exits_two(pair, ci_inputs, tmp_path):
     _, _, pa, pb = pair
-    with pytest.raises(SystemExit) as exc:
-        run(["gsvd", "--a", pa, "--b", pb,
-             "--out-prefix", str(tmp_path / "o"), "--randomized"])
-    assert exc.value.code == 2
+    # every --randomized run sketches to a width set by -k
+    for argv in (["gsvd", "--a", pa, "--b", pb],
+                 ["rsvd", "--a", ci_inputs["t_ae"], "--b", ci_inputs["t_b"],
+                  "--g", ci_inputs["t_g"]]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out-prefix", str(tmp_path / "o"), "--randomized"])
+        assert exc.value.code == 2
+    assert list(tmp_path.glob("o_*")) == []
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
@@ -358,3 +362,41 @@ def test_deterministic_run_reads_no_sketch_flags(ci_inputs, tmp_path,
     assert run(argv + ["--report", str(report)]) == 0
     (row,) = read_report(report)
     assert row["p"] == "" and row["seed"] == ""
+
+
+REPORT_HEADERS = {
+    "cur": "method,k,khat,p,seed,err_a,err_b,wall_ms,indices_p,indices_s",
+    "gcur": "method,k,khat,p,seed,err_a,err_b,wall_ms,"
+            "indices_p,indices_s_a,indices_s_b",
+    "rsvd-cur": "method,k,khat,p,seed,err_a,err_b,err_g,wall_ms,"
+                "indices_p,indices_p_b,indices_s,indices_s_g",
+}
+
+
+@pytest.mark.parametrize("command", list(REPORT_HEADERS))
+def test_report_columns_in_order(ci_inputs, tmp_path, command):
+    report = tmp_path / "r.csv"
+    assert run(_command(command, ci_inputs, 4) + ["--report", str(report)]) == 0
+    assert report.read_text().splitlines()[0] == REPORT_HEADERS[command]
+    (row,) = read_report(report)
+    if command == "cur":
+        # deim_cur never sketches and factors A alone
+        assert row["p"] == row["seed"] == row["err_b"] == ""
+
+
+@pytest.mark.parametrize("command,inputs,files,header", [
+    ("gsvd", ("ae", "e"), "UVY", "gamma,beta,ratio"),
+    ("rsvd", ("t_ae", "t_b", "t_g"), "ZWUV", "alpha,beta,gamma"),
+], ids=["gsvd", "rsvd"])
+def test_factor_files_and_value_columns(ci_inputs, tmp_path, command, inputs,
+                                        files, header):
+    flags = [x for name, flag in zip(inputs, ("--a", "--b", "--g"))
+             for x in (flag, ci_inputs[name])]
+    for extra in ([], ["-k", "4", "--randomized"]):
+        out = tmp_path / ("rand" if extra else "det")
+        out.mkdir()
+        assert run([command, *flags, *extra,
+                    "--out-prefix", str(out / "o")]) == 0
+        assert sorted(x.name for x in out.iterdir()) == sorted(
+            [f"o_{x}.mtx" for x in files] + ["o_vals.csv"])
+        assert (out / "o_vals.csv").read_text().splitlines()[0] == header

@@ -284,7 +284,7 @@ def test_complete_orthonormal_keeps_leading_block():
     q, _ = np.linalg.qr(rng.standard_normal((9, 4)))
     full = complete_orthonormal(q)
     assert full.shape == (9, 9)
-    assert np.allclose(full[:, :4], q)
+    assert np.array_equal(full[:, :4], q)
     assert np.allclose(full.T @ full, np.eye(9), atol=1e-12)
 
 

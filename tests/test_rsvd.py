@@ -107,7 +107,8 @@ def test_ill_conditioned_g_takes_the_householder_route(randomized,
     # kappa(G) = 1e9 is past CholeskyQR2's reach (about 1e7), so the first
     # stage factors G by one Householder QR, the first QR the RSVD runs;
     # a well-conditioned G takes CholeskyQR2.  Both paths still reproduce
-    # A and G
+    # A and G, and the deterministic one B too: its second-stage V is far
+    # from orthonormal here, so completing U must keep V's columns as is
     m, n, d, ell = 20, 12, 30, 40
     a, b, _ = random_triplet(10, m, n, d, ell)
     rng = np.random.default_rng(10)
@@ -125,6 +126,9 @@ def test_ill_conditioned_g_takes_the_householder_route(randomized,
     assert householder_shapes[0] == (d, n)
     assert np.linalg.norm(f.reconstruct_a() - a) <= 1e-8 * np.linalg.norm(a)
     assert np.linalg.norm(f.reconstruct_g() - g) <= 1e-8 * np.linalg.norm(g)
+    if not randomized:
+        assert (np.linalg.norm(f.reconstruct_b() - b)
+                <= 1e-8 * np.linalg.norm(b))
 
 
 def test_randomized_reproducible():
