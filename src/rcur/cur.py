@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, select_columns, select_rows, svd_thin
-from .gcur import middle_matrix
-from .selection import select_indices
+from .gcur import _middle_matrix
+from .selection import _select_indices
 
 __all__ = ["CurFactors", "deim_cur"]
 
@@ -28,6 +28,6 @@ def deim_cur(a, k, khat=None):
     the singular vectors."""
     a = as_matrix(a)
     u, _, v = svd_thin(a)
-    p = select_indices(v, k, khat)
-    s = select_indices(u, k, khat)
-    return CurFactors(p=p, s=s, m=middle_matrix(a, p, s), k=k)
+    p = _select_indices(v, k, khat)
+    s = _select_indices(u, k, khat)
+    return CurFactors(p=p, s=s, m=_middle_matrix(a, p, s), k=k)

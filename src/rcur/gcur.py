@@ -7,7 +7,13 @@ index vector p and per-matrix row index vectors:
 
 Indices come from L-DEIM (DEIM when khat is None) applied to the (possibly
 sketched) GSVD factors; middle matrices come from thin QRs of C and R^T and
-two k-by-k solves, never an explicit pseudoinverse.
+two k-by-k solves, never an explicit pseudoinverse.  The randomized entry
+points have the GSVD kernel form only the factor columns the selection
+reads.
+
+Each public entry point validates each input matrix once and hands it to
+private twins (``_gsvd``, ``_randomized_gsvd``, ``_middle_matrix``,
+``selection._select_indices``) that do not scan it again.
 
 Those thin QRs go by ``linalg.qr_stack``, the kernel the GSVD's stacked QR
 also runs and the one place that picks the QR route.
@@ -30,8 +36,13 @@ from .linalg import (
     svd_thin,
     two_norm,
 )
-from .gsvd import GsvdFactors, gsvd, randomized_gsvd
-from .selection import deim_growth_bound, leading_columns, select_indices
+from .gsvd import GsvdFactors, _gsvd, _randomized_gsvd
+from .selection import (
+    _select_indices,
+    deim_growth_bound,
+    leading_columns,
+    select_indices,
+)
 from .sketch import SketchConfig
 
 __all__ = [
@@ -112,8 +123,13 @@ def middle_matrix(m, p, s):
     solves.
     """
     m = as_matrix(m)
-    p = as_index_list(p, m.shape[1], "column indices")
-    s = as_index_list(s, m.shape[0], "row indices")
+    return _middle_matrix(m, as_index_list(p, m.shape[1], "column indices"),
+                          as_index_list(s, m.shape[0], "row indices"))
+
+
+def _middle_matrix(m, p, s):
+    """``middle_matrix`` on a validated ``m`` and index arrays the library
+    selected."""
     q_c, r_c = _full_rank_qr(m[:, p], "columns")
     q_r, r_r = _full_rank_qr(m[s].T, "rows")
     core = (q_c.T @ m) @ q_r
@@ -124,27 +140,36 @@ def gcur_from_factors(a, b, factors: GsvdFactors, k, khat=None):
     """Build GCUR indices and middle matrices from precomputed GSVD factors.
 
     Warns when a generalized-value ratio gamma/beta among the pairs the
-    selection reads falls below ``RATIO_WARN_TOL``.
+    selection reads falls below ``RATIO_WARN_TOL``.  A, B and the factor
+    columns the selection reads are validated.
     """
-    p = select_indices(factors.y, k, khat)
-    s_a = select_indices(factors.u, k, khat)
-    s_b = select_indices(factors.v, k, khat)
-    fac = GcurFactors(p=p, s_a=s_a, m_a=middle_matrix(a, p, s_a), k=k,
-                      s_b=s_b, m_b=middle_matrix(b, p, s_b))
+    return _gcur_from_factors(as_matrix(a, "A"), as_matrix(b, "B"), factors,
+                              k, khat, select=select_indices)
+
+
+def _gcur_from_factors(a, b, factors, k, khat=None, select=_select_indices):
+    """``gcur_from_factors`` on validated A and B; ``select`` is the public
+    ``select_indices`` only for factors that came from a caller."""
+    p = select(factors.y, k, khat)
+    s_a = select(factors.u, k, khat)
+    s_b = select(factors.v, k, khat)
+    fac = GcurFactors(p=p, s_a=s_a, m_a=_middle_matrix(a, p, s_a), k=k,
+                      s_b=s_b, m_b=_middle_matrix(b, p, s_b))
     used = leading_columns(k, khat)
     ratios = factors.gamma[:used] / np.maximum(factors.beta[:used], 1e-300)
     if np.any(ratios < RATIO_WARN_TOL):
         warnings.warn(
             "trailing generalized-value ratios fall below 1e-12; "
             "the rank-k error will plateau",
-            stacklevel=2,
+            stacklevel=3,
         )
     return fac
 
 
 def gcur_deterministic(a, b, k, khat=None):
     """Rank-k GCUR from the full GSVD of (A, B)."""
-    return gcur_from_factors(a, b, gsvd(a, b), k, khat)
+    a, b = as_matrix(a, "A"), as_matrix(b, "B")
+    return _gcur_from_factors(a, b, _gsvd(a, b), k, khat)
 
 
 def r_deim_gcur(a, b, cfg: SketchConfig):
@@ -155,10 +180,11 @@ def r_deim_gcur(a, b, cfg: SketchConfig):
 def r_ldeim_gcur(a, b, cfg: SketchConfig):
     """Randomized L-DEIM GCUR: a khat + p wide sketch, of which L-DEIM reads
     ``cfg.columns_read()`` = min(k, khat + p) columns and extends to k
-    indices."""
-    factors = randomized_gsvd(a, b, cfg)
-    return gcur_from_factors(a, b, factors, cfg.target_rank,
-                             cfg.columns_read())
+    indices.  The GSVD forms only those columns of U, V and Y."""
+    a, b = as_matrix(a, "A"), as_matrix(b, "B")
+    read = cfg.columns_read()
+    factors = _randomized_gsvd(a, b, cfg, cols=read)
+    return _gcur_from_factors(a, b, factors, cfg.target_rank, read)
 
 
 def gcur_error(a, factors: GcurFactors):
@@ -191,7 +217,7 @@ def gcur_bound(a, b, k, p):
     _, sa, _ = svd_thin(a)
     theta = sketch_tail_bound(sa, k, p)
     eta = deim_growth_bound(n, k) + deim_growth_bound(m, k)
-    factors = gsvd(a, b)
+    factors = _gsvd(a, b)
     gam, bet = factors.gamma[k], factors.beta[k]
     _, s_stack, _ = svd_thin(np.vstack([a, b]))
     pinv_norm = 1.0 / s_stack[-1]

@@ -9,7 +9,9 @@ and gamma_i / beta_i non-increasing.  The kernel route is a QR of the
 stacked matrix [B; A] = QR (``linalg.qr_stack``, which picks the QR route)
 followed by an SVD of the A-block of Q (a CS-decomposition step), which
 costs O((m+d) n^2).  Only the A-block Q_A and the B-side product Q_B Z are
-formed, one gemm each.
+formed, one gemm each.  The public functions form every column; the
+randomized GCUR path asks the kernel for the leading r columns its
+selection reads, and Q_B Z is then formed for those r columns only.
 
 Sign convention: for each pair i the largest-magnitude entry of Y[:, i] is
 positive, and U[:, i] (where it exists) and V[:, i] flip with it, so both
@@ -33,7 +35,7 @@ from .linalg import (
     qr_stack,
     qr_thin,
 )
-from .sketch import SketchConfig, range_finder
+from .sketch import SketchConfig, _range_finder
 
 __all__ = ["GsvdFactors", "gsvd", "randomized_gsvd", "BETA_ZERO_TOL"]
 
@@ -49,6 +51,12 @@ class GsvdFactors:
     ``u`` has r <= n columns (r < n only on the sketched path, where the
     trailing gammas are exactly zero and carry no A-side directions).
     ``small_beta`` flags entries with beta below ``BETA_ZERO_TOL``.
+
+    ``gsvd`` and ``randomized_gsvd`` return every column.  Only the
+    randomized GCUR entry points (``r_deim_gcur``, ``r_ldeim_gcur``) work
+    on truncated factors, which they never return: there U, V and Y hold
+    the leading columns the selection reads, and gamma, beta and
+    ``small_beta`` as many entries.
     """
 
     u: np.ndarray
@@ -66,13 +74,21 @@ class GsvdFactors:
         return self.v @ (self.beta[:, None] * self.y.T)
 
 
-def _cs_gsvd(a, b, require_full_rank=True):
+def _cs_gsvd(a, b, require_full_rank=True, cols=None):
     """Shared kernel: factor (a, b) with any row counts and equal columns.
 
     Returns factors where the a-side values (gamma) are non-increasing and
     the columns follow the module's sign convention.  The a-side orthonormal
     factor has min(rows(a), n) columns; both inputs are reproduced exactly
     up to roundoff.
+
+    ``cols`` = r returns only the leading min(r, n) columns of U, V and Y
+    (and as many gammas, betas and ``small_beta`` flags): Q_B Z and R^T Z
+    are formed for those columns only.  U and gamma are slices of the full
+    call's; V and Y equal its columns up to the rounding of the narrower
+    gemm.  A small beta among them makes the kernel form every column,
+    since the beta = 0 block is rotated as a whole, and return the leading
+    ones.
 
     Route: [B; A] = QR by ``qr_stack``; the SVD Q_A = W diag(gamma) Z^T of
     the formed A-block gives U = W and Y = R^T Z; the formed product
@@ -103,10 +119,17 @@ def _cs_gsvd(a, b, require_full_rank=True):
     gamma = np.zeros(n)
     gamma[: min(ra, n)] = np.clip(s, 0.0, 1.0)
 
-    v = q.rows(0, d, z)
-    beta = np.sqrt(np.einsum("ij,ij->j", v, v))
-    small = beta < BETA_ZERO_TOL
-    y = r.T @ z
+    keep = n if cols is None else min(cols, n)
+    # the beta = 0 block is rotated as a whole below, so a small beta among
+    # the leading columns makes the kernel form all n and keep the leading
+    for c in (keep, n):
+        v = q.rows(0, d, z[:, :c])
+        beta = np.sqrt(np.einsum("ij,ij->j", v, v))
+        small = beta < BETA_ZERO_TOL
+        if c == n or not small.any():
+            break
+    y = r.T @ z[:, :c]
+    w = w[:, :c]
     if small.any():
         # beta = 0 pairs all share the saturated a-side value 1, so the SVD
         # leaves their basis arbitrary within the block.  Canonicalize by
@@ -119,7 +142,7 @@ def _cs_gsvd(a, b, require_full_rank=True):
             y[:, blk] = pb * sb
             w[:, blk] = w[:, blk] @ qbt.T
     # the module's sign convention, set by Y alone
-    sign = np.where(y[np.abs(y).argmax(axis=0), np.arange(n)] < 0.0, -1.0, 1.0)
+    sign = np.where(y[np.abs(y).argmax(axis=0), np.arange(c)] < 0.0, -1.0, 1.0)
     y *= sign
     w *= sign[: w.shape[1]]
     # V is a fresh product, so it is scaled and signed in place; small-beta
@@ -140,13 +163,18 @@ def _cs_gsvd(a, b, require_full_rank=True):
         if fill.size:
             padded = np.hstack([v[:, good], np.zeros((d, fill.size))])
             v[:, fill] = qr_thin(padded)[0][:, -fill.size:] * sign[fill]
-    return GsvdFactors(u=w, v=v, y=y, gamma=gamma, beta=beta, small_beta=small)
+    return GsvdFactors(u=w[:, :keep], v=v[:, :keep], y=y[:, :keep],
+                       gamma=gamma[:keep], beta=beta[:keep],
+                       small_beta=small[:keep])
 
 
 def gsvd(a, b):
     """Deterministic GSVD of (A, B) with A m-by-n, B d-by-n, m >= n, d >= n."""
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
+    return _gsvd(as_matrix(a, "A"), as_matrix(b, "B"))
+
+
+def _gsvd(a, b):
+    """``gsvd`` on validated inputs."""
     n = a.shape[1]
     if a.shape[0] < n or b.shape[0] < n:
         raise DimensionError(
@@ -164,8 +192,12 @@ def randomized_gsvd(a, b, cfg: SketchConfig):
     orthonormal columns spanning range(Q); B is factored exactly, A only
     through its projection U U^T A, which at the cap is A itself.
     """
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    q = range_finder(a, cfg.width(), cfg.seed)
-    factors = _cs_gsvd(q.T @ a, b)
+    return _randomized_gsvd(as_matrix(a, "A"), as_matrix(b, "B"), cfg)
+
+
+def _randomized_gsvd(a, b, cfg: SketchConfig, cols=None):
+    """``randomized_gsvd`` on validated inputs, forming the leading ``cols``
+    columns of each factor (``_cs_gsvd``), or all of them when None."""
+    q = _range_finder(a, cfg.width(), cfg.seed)
+    factors = _cs_gsvd(q.T @ a, b, cols=cols)
     return replace(factors, u=q @ factors.u)

@@ -5,10 +5,15 @@ functions here are deterministic and pure; randomness only enters through
 the sketching layer.
 
 A matrix is validated once, by ``as_matrix``, where it enters the library:
-in the public function that receives it from the caller.  The kernels
-``qr_thin``, ``qr_stack``, ``cholesky_qr2``, ``svd_thin``, ``two_norm``
-and ``complete_orthonormal`` take only arrays their callers validated or
-computed, so they check shapes but do not scan the entries again.
+each public entry point calls it once per input matrix.  It then passes
+the array to private twins of the public stages (``gsvd._gsvd``,
+``gsvd._randomized_gsvd``, ``sketch._range_finder``,
+``gcur._middle_matrix``, ``selection._select_indices``), which do not scan
+it again; the public stages keep their checks for outside callers.  The
+kernels ``qr_thin``, ``qr_stack``, ``cholesky_qr2``, ``svd_thin``,
+``two_norm`` and ``complete_orthonormal`` take only arrays their callers
+validated or computed, so they check shapes but do not scan the entries
+again.
 
 ``qr_stack`` is the one place that picks how a row stack of blocks is
 QR-factored; the GSVD's stacked pair, the RSVD's G, the middle matrices'

@@ -29,7 +29,7 @@ from .linalg import (
     qr_stack,
 )
 from .gsvd import _cs_gsvd
-from .sketch import SketchConfig, range_finder, split_seed
+from .sketch import SketchConfig, _range_finder, split_seed
 
 __all__ = ["RsvdFactors", "rsvd_deterministic", "randomized_rsvd"]
 
@@ -130,8 +130,8 @@ def _first_stage(a, b, g):
     f1 is the GSVD of (G, A), taken as that of (R_G, A) with W lifted to
     Q_G W for G = Q_G R_G (``qr_stack``): an n-by-n CS step instead of a
     d-by-n one (Chan, ACM TOMS 8, 1982).  U_1 is completed to m-by-m.
+    The triplet comes from ``_check_triplet``.
     """
-    a, b, g = _check_triplet(a, b, g)
     q, r = qr_stack([g])
     f1 = _cs_gsvd(r, a)
     f1 = replace(f1, u=q.rows(0, g.shape[0], f1.u))
@@ -147,6 +147,11 @@ def rsvd_deterministic(a, b, g):
     the ``rcur rsvd`` factor files hold them, and criteria 5 and 6 time this
     baseline with the completion: without it their speed clauses would fail.
     """
+    return _rsvd_deterministic(*_check_triplet(a, b, g))
+
+
+def _rsvd_deterministic(a, b, g):
+    """``rsvd_deterministic`` on a validated triplet."""
     f1, u1_full, x, bt_u1 = _first_stage(a, b, g)
     f2 = _cs_gsvd(x, bt_u1, require_full_rank=False)
     factors = _assemble(f1, u1_full, f2, f2.v)
@@ -163,10 +168,15 @@ def randomized_rsvd(a, b, g, cfg: SketchConfig):
     column signs; the GSVD sign convention fixes them, so the factors do not
     depend on the QR route or the BLAS thread count.
     """
+    return _randomized_rsvd(*_check_triplet(a, b, g), cfg)
+
+
+def _randomized_rsvd(a, b, g, cfg: SketchConfig):
+    """``randomized_rsvd`` on a validated triplet."""
     f1, u1_full, x, bt_u1 = _first_stage(a, b, g)
     n, m = x.shape
     # child 0 seeded a sketch of G, now G's QR; child 1 keeps Omega_2's draws
     _, seed2 = split_seed(cfg.seed, 2)
-    h2 = range_finder(bt_u1, max(cfg.width(), m - n + 1), seed2)
+    h2 = _range_finder(bt_u1, max(cfg.width(), m - n + 1), seed2)
     f2 = _cs_gsvd(x, h2.T @ bt_u1, require_full_rank=False)
     return _assemble(f1, u1_full, f2, h2 @ f2.v)

@@ -6,6 +6,9 @@ and B, so the three approximations stay coordinated:
     A ~= A(:, p)   M_A A(s, :),
     B ~= B(:, p_B) M_B B(s, :),
     G ~= G(:, p)   M_G G(s_G, :).
+
+Each public entry point validates each input matrix once; the private
+twins it calls do not scan it again.
 """
 from __future__ import annotations
 
@@ -14,9 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, qr_thin, select_columns, select_rows, svd_thin, two_norm
-from .gcur import middle_matrix, sketch_tail_bound
-from .rsvd import RsvdFactors, randomized_rsvd, rsvd_deterministic
-from .selection import deim_growth_bound, select_indices
+from .gcur import _middle_matrix, sketch_tail_bound
+from .rsvd import (
+    RsvdFactors,
+    _check_triplet,
+    _randomized_rsvd,
+    _rsvd_deterministic,
+)
+from .selection import _select_indices, deim_growth_bound, select_indices
 from .sketch import SketchConfig
 
 __all__ = [
@@ -75,33 +83,46 @@ def _carrying_columns(u):
 
 
 def rsvd_cur_from_factors(a, b, g, factors: RsvdFactors, k, khat=None):
-    """Select indices from RSVD factors (W -> p, Z -> s, U -> p_B, V -> s_G)."""
-    p = select_indices(factors.w, k, khat)
-    s = select_indices(factors.z, k, khat)
-    p_b = select_indices(_carrying_columns(factors.u), k, khat)
-    s_g = select_indices(factors.v, k, khat)
+    """Select indices from RSVD factors (W -> p, Z -> s, U -> p_B, V -> s_G).
+
+    A, B, G and the factor columns the selection reads are validated.
+    """
+    return _rsvd_cur_from_factors(as_matrix(a, "A"), as_matrix(b, "B"),
+                                  as_matrix(g, "G"), factors, k, khat,
+                                  select=select_indices)
+
+
+def _rsvd_cur_from_factors(a, b, g, factors, k, khat=None,
+                           select=_select_indices):
+    """``rsvd_cur_from_factors`` on a validated triplet; ``select`` is the
+    public ``select_indices`` only for factors that came from a caller."""
+    p = select(factors.w, k, khat)
+    s = select(factors.z, k, khat)
+    p_b = select(_carrying_columns(factors.u), k, khat)
+    s_g = select(factors.v, k, khat)
     return RsvdCurFactors(
         p=p, p_b=p_b, s=s, s_g=s_g,
-        m_a=middle_matrix(a, p, s),
-        m_b=middle_matrix(b, p_b, s),
-        m_g=middle_matrix(g, p, s_g),
+        m_a=_middle_matrix(a, p, s),
+        m_b=_middle_matrix(b, p_b, s),
+        m_g=_middle_matrix(g, p, s_g),
         k=k,
     )
 
 
 def rsvd_cur(a, b, g, k, khat=None):
     """Rank-k RSVD-CUR from the deterministic (full-factor) RSVD."""
-    factors = rsvd_deterministic(a, b, g)
-    return rsvd_cur_from_factors(a, b, g, factors, k, khat)
+    a, b, g = _check_triplet(a, b, g)
+    return _rsvd_cur_from_factors(a, b, g, _rsvd_deterministic(a, b, g), k,
+                                  khat)
 
 
 def r_ldeim_rsvd_cur(a, b, g, cfg: SketchConfig):
     """Randomized L-DEIM RSVD-CUR: a khat + p wide sketch of B^T U_1, of which
     L-DEIM reads ``cfg.columns_read()`` = min(k, khat + p) columns; k
     indices."""
-    factors = randomized_rsvd(a, b, g, cfg)
-    return rsvd_cur_from_factors(a, b, g, factors, cfg.target_rank,
-                                 cfg.columns_read())
+    a, b, g = _check_triplet(a, b, g)
+    return _rsvd_cur_from_factors(a, b, g, _randomized_rsvd(a, b, g, cfg),
+                                  cfg.target_rank, cfg.columns_read())
 
 
 def _tail_block_norm(mat, khat):

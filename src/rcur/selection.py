@@ -145,13 +145,8 @@ def leading_columns(k, khat=None):
     return k if khat is None else khat
 
 
-def select_indices(basis, k, khat=None):
-    """``k`` row indices of ``basis`` by L-DEIM on its ``leading_columns``.
-
-    Raises ValueError for a k or khat that ``check_rank`` refuses, and when
-    the basis has fewer columns than the selection reads, instead of
-    silently selecting from a narrower basis.
-    """
+def _columns_read(basis, k, khat):
+    """The ``leading_columns`` of ``basis``, refused where it has too few."""
     check_rank(k, khat)
     width = leading_columns(k, khat)
     if width > basis.shape[1]:
@@ -159,7 +154,25 @@ def select_indices(basis, k, khat=None):
             f"selection needs {width} basis columns for rank {k}, "
             f"but the basis has {basis.shape[1]}"
         )
-    return ldeim_select(basis[:, :width], k).indices
+    return basis[:, :width]
+
+
+def select_indices(basis, k, khat=None):
+    """``k`` row indices of ``basis`` by L-DEIM on its ``leading_columns``.
+
+    Raises ValueError for a k or khat that ``check_rank`` refuses, and when
+    the basis has fewer columns than the selection reads, instead of
+    silently selecting from a narrower basis.  The columns read are
+    validated; ``_select_indices`` is the twin for bases the library
+    computed itself.
+    """
+    return ldeim_select(_columns_read(basis, k, khat), k).indices
+
+
+def _select_indices(basis, k, khat=None):
+    """``select_indices`` on a basis the library computed: its columns are
+    copied, F-ordered, straight into the pivot loop, without a scan."""
+    return _ldeim(np.array(_columns_read(basis, k, khat), order="F"), k).indices
 
 
 def deim_growth_bound(m, k):

@@ -80,7 +80,11 @@ def range_finder(a, width, seed):
     Q to the GSVD kernel, whose sign convention makes the factors, and so
     the realization of a seeded run, independent of them.
     """
-    a = as_matrix(a)
+    return _range_finder(as_matrix(a), width, seed)
+
+
+def _range_finder(a, width, seed):
+    """``range_finder`` on a validated or library-computed ``a``, unscanned."""
     omega = gaussian_matrix(a.shape[1], min(width, *a.shape), seed)
     q, _ = qr_stack([a @ omega])
     return q.rows(0, a.shape[0])

@@ -1,8 +1,11 @@
+import importlib
+import pkgutil
 import sys
 
 import numpy as np
 import pytest
 
+import rcur
 import rcur.sketch
 
 
@@ -18,6 +21,28 @@ def widths(monkeypatch):
 
     monkeypatch.setattr(rcur.sketch, "gaussian_matrix", spy)
     return drawn
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """(module, argument) of every ``as_matrix`` call, in call order.
+
+    Every ``rcur`` module that binds ``as_matrix`` gets its own spy, so a
+    call is recorded under the short name of the module that made it.
+    """
+    calls = []
+    for info in pkgutil.iter_modules(rcur.__path__):
+        mod = importlib.import_module(f"rcur.{info.name}")
+        check = getattr(mod, "as_matrix", None)
+        if check is None:
+            continue
+
+        def spy(a, *args, _name=info.name, _check=check, **kwargs):
+            calls.append((_name, a))
+            return _check(a, *args, **kwargs)
+
+        monkeypatch.setattr(mod, "as_matrix", spy)
+    return calls
 
 
 @pytest.fixture

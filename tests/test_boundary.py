@@ -1,19 +1,32 @@
 """The two policies owned by one place each.
 
 Every public entry point validates the matrices it receives (a NaN is a
-``ValueError``), and ``SketchConfig.width`` alone sets every sketch width,
-which ``range_finder`` caps at min(rows, cols) of the matrix it sketches.
-The ``widths`` fixture (conftest) records every Gaussian draw.
+``ValueError``), each of them once, and ``SketchConfig.width`` alone sets
+every sketch width, which ``range_finder`` caps at min(rows, cols) of the
+matrix it sketches.  The ``widths`` fixture (conftest) records every
+Gaussian draw and the ``scans`` fixture every ``as_matrix`` call.
 """
 import numpy as np
 import pytest
 
 from rcur.cur import CurFactors, deim_cur
-from rcur.gcur import GcurFactors, middle_matrix, r_deim_gcur, r_ldeim_gcur
+from rcur.gcur import (
+    GcurFactors,
+    gcur_deterministic,
+    gcur_from_factors,
+    middle_matrix,
+    r_deim_gcur,
+    r_ldeim_gcur,
+)
 from rcur.gsvd import gsvd, randomized_gsvd
 from rcur.linalg import relative_error
 from rcur.rsvd import randomized_rsvd, rsvd_deterministic
-from rcur.rsvd_cur import RsvdCurFactors, r_ldeim_rsvd_cur
+from rcur.rsvd_cur import (
+    RsvdCurFactors,
+    r_ldeim_rsvd_cur,
+    rsvd_cur,
+    rsvd_cur_from_factors,
+)
 from rcur.selection import deim_select, ldeim_select
 from rcur.sketch import SketchConfig, range_finder
 
@@ -37,6 +50,14 @@ ENTRY_POINTS = {
     "rsvd_deterministic": (rsvd_deterministic, (TA, TB, TG)),
     "randomized_rsvd": (randomized_rsvd, (TA, TB, TG, CFG)),
     "deim_cur": (deim_cur, (A, 3)),
+    "gcur_deterministic": (gcur_deterministic, (A, B, 3)),
+    "gcur_from_factors": (gcur_from_factors, (A, B, gsvd(A, B), 3)),
+    "r_deim_gcur": (r_deim_gcur, (A, B, CFG)),
+    "r_ldeim_gcur": (r_ldeim_gcur, (A, B, CFG)),
+    "rsvd_cur": (rsvd_cur, (TA, TB, TG, 2)),
+    "rsvd_cur_from_factors": (rsvd_cur_from_factors,
+                              (TA, TB, TG, rsvd_deterministic(TA, TB, TG), 2)),
+    "r_ldeim_rsvd_cur": (r_ldeim_rsvd_cur, (TA, TB, TG, CFG)),
     "middle_matrix": (middle_matrix, (A, IDX, IDX)),
     "range_finder": (range_finder, (A, 5, 0)),
     "deim_select": (deim_select, (A[:, :3],)),
@@ -64,6 +85,24 @@ def test_public_entry_points_reject_nan(fn, args, pos):
     bad[-1, -1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         fn(*args[:pos], bad, *args[pos + 1:])
+
+
+@pytest.mark.parametrize("call,inputs", [
+    (lambda: r_ldeim_gcur(A, B, CFG), [("gcur", A), ("gcur", B)]),
+    (lambda: r_deim_gcur(A, B, CFG), [("gcur", A), ("gcur", B)]),
+    (lambda: gcur_deterministic(A, B, 3), [("gcur", A), ("gcur", B)]),
+    (lambda: deim_cur(A, 3), [("cur", A)]),
+    (lambda: rsvd_cur(TA, TB, TG, 2), [("rsvd", TA), ("rsvd", TB), ("rsvd", TG)]),
+    (lambda: r_ldeim_rsvd_cur(TA, TB, TG, CFG),
+     [("rsvd", TA), ("rsvd", TB), ("rsvd", TG)]),
+], ids=["r_ldeim_gcur", "r_deim_gcur", "gcur_deterministic", "deim_cur",
+        "rsvd_cur", "r_ldeim_rsvd_cur"])
+def test_each_input_is_scanned_once(scans, call, inputs):
+    # the entry point validates its inputs; factors, bases and sketches the
+    # library computes from them are not scanned again
+    call()
+    assert [(mod, id(x)) for mod, x in scans] == [
+        (mod, id(x)) for mod, x in inputs]
 
 
 K_P, KHAT_P = 4 + 2, 2 + 2

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import json
 import os
 from pathlib import Path
@@ -16,12 +17,13 @@ from rcur.gcur import (
     gcur_bound,
     gcur_deterministic,
     gcur_error,
+    gcur_from_factors,
     middle_matrix,
     r_deim_gcur,
     r_ldeim_gcur,
     sketch_tail_bound,
 )
-from rcur.gsvd import gsvd
+from rcur.gsvd import gsvd, randomized_gsvd
 from rcur.linalg import RankDeficiencyError
 from rcur.sketch import SketchConfig
 
@@ -200,6 +202,41 @@ def test_sketch_past_n_selects_the_deterministic_indices(seed):
         fac = rand(a, b, cfg)
         for name in ("p", "s_a", "s_b"):
             assert np.array_equal(getattr(fac, name), getattr(ref, name))
+
+
+def _exp1_pair(seed):
+    _, e, a_e = exp1_instance(400, 40, 0.2, seed)
+    return a_e, e
+
+
+def _narrow_pair(seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((40, 8)), rng.standard_normal((20, 8))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("pair,cfg", [
+    # reads khat + p = 5 < k columns: L-DEIM extends them to 10 indices
+    (_exp1_pair, dict(target_rank=10, oversampling=3, ldeim_budget=2)),
+    # khat = k: DEIM on k columns of a k + p wide sketch
+    (_exp1_pair, dict(target_rank=8, oversampling=5, ldeim_budget=8)),
+    # khat + p = 11 > n = 8: the sketch stops at n
+    (_narrow_pair, dict(target_rank=5, oversampling=8)),
+], ids=["read-all", "deim", "capped"])
+def test_randomized_gcur_equals_the_full_factor_route(seed, pair, cfg):
+    # the entry points form only the factor columns the selection reads;
+    # indices and middle matrices must be those of the full factors, bitwise
+    a, b = pair(seed)
+    cfg = SketchConfig(**cfg, seed=seed)
+    for rand in (r_ldeim_gcur, r_deim_gcur):
+        run = cfg if rand is r_ldeim_gcur else replace(
+            cfg, ldeim_budget=cfg.target_rank)
+        ref = gcur_from_factors(a, b, randomized_gsvd(a, b, run),
+                                run.target_rank, run.columns_read())
+        fac = rand(a, b, cfg)
+        for name in ("p", "s_a", "s_b", "m_a", "m_b"):
+            assert np.array_equal(getattr(fac, name), getattr(ref, name)), \
+                (rand.__name__, name)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -221,3 +221,46 @@ def test_small_beta_completion_runs_out_when_b_is_short():
     f = _cs_gsvd(a, b)
     assert f.small_beta.sum() == 3
     _check_filled_columns(f, b)
+
+
+def _short_deficient_b_pair():
+    # as above: B of rank 3 leaves 3 small betas, all among the leading pairs
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((30, 6))
+    b = rng.standard_normal((4, 6))
+    b[:, 2] = 0.0
+    b[3] = b[0]
+    return a, b
+
+
+@pytest.mark.parametrize("pair", [
+    _short_deficient_b_pair,
+    lambda: random_pair(24),
+    lambda: random_pair(25, m=5, d=30, n=15),
+    lambda: random_pair(26, m=400, d=400, n=40),
+], ids=["deficient-b", "full-rank", "short-a", "square-blocks"])
+def test_leading_columns_equal_the_full_kernel(pair):
+    # the CUR path forms only the columns its selection reads, and a count
+    # past n stops at n.  U, gamma and the small-beta flags are slices of
+    # the full call's.  V and Y are products with fewer columns, which BLAS
+    # may round differently (a gemv for one column), so they match the full
+    # call's to a few ulps of each column's norm; with a small beta among
+    # the leading columns the kernel forms them all, so they match bitwise
+    a, b = pair()
+    full = _cs_gsvd(a, b, require_full_rank=False)
+    n = a.shape[1]
+    for r in range(1, n + 3):
+        part = _cs_gsvd(a, b, require_full_rank=False, cols=r)
+        c = min(r, n)
+        assert np.array_equal(part.u, full.u[:, :c]), r
+        for name in ("gamma", "small_beta"):
+            assert np.array_equal(getattr(part, name), getattr(full, name)[:c])
+        exact = full.small_beta[:c].any()
+        for name in ("v", "y"):
+            got, ref = getattr(part, name), getattr(full, name)[:, :c]
+            assert got.shape == ref.shape, (name, r)
+            scale = np.linalg.norm(ref, axis=0)
+            tol = 0.0 if exact else 16 * np.finfo(float).eps * scale
+            assert np.all(np.abs(got - ref) <= tol), (name, r)
+        tol = 0.0 if exact else 16 * np.finfo(float).eps
+        assert np.all(np.abs(part.beta - full.beta[:c]) <= tol), r

@@ -111,13 +111,13 @@ def test_randomized_indices_do_not_depend_on_sketch_column_signs(seed,
     _, a_e, b, g = exp4_instance(1000, 500, 100, 0.1, seed)
     cfg = SketchConfig(10, 80, ldeim_budget=5, seed=seed)
     ref = r_ldeim_rsvd_cur(a_e, b, g, cfg)
-    find = rcur.rsvd.range_finder
+    find = rcur.rsvd._range_finder
 
     def flipped(a, width, seed):
         q = find(a, width, seed)
         return q * np.where(np.arange(q.shape[1]) % 2, -1.0, 1.0)
 
-    monkeypatch.setattr(rcur.rsvd, "range_finder", flipped)
+    monkeypatch.setattr(rcur.rsvd, "_range_finder", flipped)
     fac = r_ldeim_rsvd_cur(a_e, b, g, cfg)
     for name in ("p", "p_b", "s", "s_g"):
         assert np.array_equal(getattr(fac, name), getattr(ref, name)), name
