@@ -7,13 +7,12 @@ the sketching layer.
 A matrix is validated once, by ``as_matrix``, where it enters the library:
 each public entry point calls it once per input matrix.  It then passes
 the array to private twins of the public stages (``gsvd._gsvd``,
-``gsvd._randomized_gsvd``, ``sketch._range_finder``,
-``gcur._middle_matrix``, ``selection._select_indices``), which do not scan
-it again; the public stages keep their checks for outside callers.  The
-kernels ``qr_thin``, ``qr_stack``, ``cholesky_qr2``, ``svd_thin``,
-``two_norm`` and ``complete_orthonormal`` take only arrays their callers
-validated or computed, so they check shapes but do not scan the entries
-again.
+``rsvd._rsvd``, ``sketch._range_finder``, ``gcur._middle_matrix``,
+``selection._select_indices``), which do not scan it again; the public
+stages keep their checks for outside callers.  The kernels ``qr_thin``,
+``qr_stack``, ``cholesky_qr2``, ``svd_thin``, ``two_norm`` and
+``complete_orthonormal`` take only arrays their callers validated or
+computed, so they check shapes but do not scan the entries again.
 
 ``qr_stack`` is the one place that picks how a row stack of blocks is
 QR-factored; the GSVD's stacked pair, the RSVD's G, the middle matrices'
@@ -84,8 +83,14 @@ class RankDeficiencyError(np.linalg.LinAlgError):
 
 
 def as_matrix(a, name="matrix"):
-    """Validate and return ``a`` as a 2-d float64 array with finite entries."""
-    m = np.asarray(a, dtype=np.float64)
+    """Validate and return ``a`` as a 2-d float64 array with finite entries.
+
+    A complex ``a`` is refused: casting it would drop the imaginary part.
+    """
+    m = np.asarray(a)
+    if np.iscomplexobj(m):
+        raise ValueError(f"{name} must be real, got dtype {m.dtype}")
+    m = m.astype(np.float64, copy=False)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-dimensional, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -94,8 +99,14 @@ def as_matrix(a, name="matrix"):
 
 
 def as_index_list(idx, dim, name="indices"):
-    """Validate an ordered list of distinct zero-based indices below ``dim``."""
-    ind = np.asarray(idx, dtype=np.intp).ravel()
+    """Validate an ordered list of distinct zero-based indices below ``dim``.
+
+    Indices must be integers: a float or bool array is refused, not cast.
+    """
+    ind = np.asarray(idx)
+    if ind.size and ind.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {ind.dtype}")
+    ind = ind.astype(np.intp, copy=False).ravel()
     if ind.size and (ind.min() < 0 or ind.max() >= dim):
         raise IndexError(f"{name} out of range for dimension {dim}: {ind}")
     if len(np.unique(ind)) != len(ind):
@@ -196,9 +207,9 @@ def qr_stack(blocks):
     The only place that picks the QR route.  CholeskyQR2 where it accepts
     the stack; otherwise one Householder QR (``qr_thin``) of the stack with
     Q formed explicitly, r then bitwise equal to ``np.linalg.qr``'s.  A
-    numerically singular stack makes CholeskyQR2 decline, and an accepted
-    one has min|R_ii| / max|R_ii| >= 1/kappa, so a rank test on r decides
-    as it would on the Householder r.  Requires rows >= cols.
+    numerically singular stack makes CholeskyQR2 decline (an accepted one
+    has kappa below about 1e7), so a rank test need only look at a
+    Householder r (``q.r2_inv`` None).  Requires rows >= cols.
     """
     qr = cholesky_qr2(blocks)
     if qr is not None:

@@ -1,23 +1,28 @@
 """Restricted SVD of a matrix triplet (A, B, G) via two GSVDs.
 
-For A m-by-n, B m-by-l, G d-by-n with l >= d >= m >= n and B, G of full
-rank, the triplet is factored as
+For A m-by-n, B m-by-l, G d-by-n with l >= d >= m >= n, B of full row
+rank and G of full column rank, the triplet is factored as
 
     A = Z D_A W^T,    B = Z D_B U^T,    G = V D_G W^T,
 
-with Z (m-by-m) and W (n-by-n) nonsingular and U, V orthogonal.  The route:
-a GSVD of (A, G) through G's QR, then a GSVD of (B^T U1,
-Sigma1^{-1} Gamma1^T), with the diagonal scaling
-gamma_i = sigma_i / sqrt(sigma_i^2 + 1) which yields
+with Z (m-by-m) and W (n-by-n) nonsingular and U, V orthogonal.  One
+private body, ``_rsvd``, runs both paths in two stages: a GSVD of (A, G)
+through G's QR, then a GSVD of (B^T U1, Sigma1^{-1} Gamma1^T), with the
+diagonal scaling gamma_i = sigma_i / sqrt(sigma_i^2 + 1) which yields
 alpha_i^2 + beta_i^2 + gamma_i^2 = 1.
 
-The A-factorization is exact on both the deterministic and the randomized
-path; on the randomized path only B is approximately factored, with
-sketch-tail error bounds.
+The randomized path differs only in its one sketch of B^T U1.  A and G are
+factored exactly on both paths; on the randomized path B is approximately
+factored, with sketch-tail error bounds.
+
+A triplet outside the contract raises ``RankDeficiencyError``: a G without
+full column rank, or a rank-deficient second-stage stack, as from a B that
+loses rank along a direction outside range(A) (or, on the randomized path,
+a sketch too narrow for the directions A lacks).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,57 +91,50 @@ def _check_triplet(a, b, g):
     return a, b, g
 
 
-def _assemble(f1, u1_full, f2, u2):
-    """Second-stage assembly shared by both paths.
+def _rsvd(a, b, g, cfg=None):
+    """The one RSVD body on a validated triplet; ``cfg`` sketches B^T U_1.
 
-    f1: GSVD of (G-side, A-side) with sigma1 = f1.gamma, gamma1-diag = f1.beta.
-    f2: GSVD of (Sigma1^{-1} Gamma1^T side, B^T U1 side); u2 is the lifted
-    B-side orthonormal factor.
+    First stage: the GSVD of (G, A), taken as that of (R_G, A) with its
+    G-side factor lifted by Q_G for G = Q_G R_G (``qr_stack``), an n-by-n
+    CS step (Chan, ACM TOMS 8, 1982); U_1 is completed to m-by-m.  Second
+    stage: the GSVD of (Sigma_1^{-1} Gamma_1^T, B^T U_1).  With ``cfg``,
+    B^T U_1 is projected onto the sketch basis H_2 and the B-side factor
+    lifted by H_2; without it, U and V are completed.
     """
-    n = len(f1.gamma)
+    m, n = a.shape
+    q, r = qr_stack([g])
+    f1 = _cs_gsvd(r, a)
+    if np.any(f1.gamma <= _SIGMA_TOL):
+        raise RankDeficiencyError(
+            "Sigma_1 is singular: G must have full column rank"
+        )
+    u1 = complete_orthonormal(f1.v)
+    x = np.zeros((n, m))
+    np.fill_diagonal(x, f1.beta / f1.gamma)
+    bt_u1 = b.T @ u1
+    if cfg is None:
+        f2 = _cs_gsvd(x, bt_u1)
+        u = f2.v
+    else:
+        # child 0 seeded a sketch of G, now G's QR; child 1 seeds Omega_2
+        _, seed2 = split_seed(cfg.seed, 2)
+        h2 = _range_finder(bt_u1, max(cfg.width(), m - n + 1), seed2)
+        f2 = _cs_gsvd(x, h2.T @ bt_u1)
+        u = h2 @ f2.v
     sigma = f2.gamma[:n]
     # free diagonal scaling; the canonical choice keeps the triplet normalized.
     # sigma == 0 (A deficient in that direction) would make it singular, so
     # fall back to 1 there: A and G stay exactly factored, only the
     # normalization identity is given up for those entries.
     gamma_g = np.where(sigma > _SIGMA_TOL, sigma / np.sqrt(sigma**2 + 1.0), 1.0)
-    alpha = sigma * gamma_g
-    z = u1_full @ f2.y
-    v2 = f2.u
-    w = (f1.y * f1.gamma) @ v2 / gamma_g
-    v = f1.u @ v2
-    beta = f2.beta[:n]
+    v = q.rows(0, g.shape[0], f1.u) @ f2.u
+    if cfg is None:
+        u, v = complete_orthonormal(u), complete_orthonormal(v)
     return RsvdFactors(
-        z=z, w=w, u=u2, v=v,
-        alpha=alpha, beta=beta, gamma=gamma_g, b_diag=f2.beta.copy(),
+        z=u1 @ f2.y, w=(f1.y * f1.gamma) @ f2.u / gamma_g, u=u, v=v,
+        alpha=sigma * gamma_g, beta=f2.beta[:n], gamma=gamma_g,
+        b_diag=f2.beta.copy(),
     )
-
-
-def _sigma_inv_gamma_t(f1, m):
-    """Sigma1^{-1} Gamma1^T as a dense n-by-m matrix (zero past column n)."""
-    if np.any(f1.gamma <= _SIGMA_TOL):
-        raise RankDeficiencyError(
-            "Sigma_1 is singular: G must have full column rank"
-        )
-    n = len(f1.gamma)
-    x = np.zeros((n, m))
-    x[np.arange(n), np.arange(n)] = f1.beta / f1.gamma
-    return x
-
-
-def _first_stage(a, b, g):
-    """(f1, U_1, Sigma_1^{-1} Gamma_1^T, B^T U_1), shared by both paths.
-
-    f1 is the GSVD of (G, A), taken as that of (R_G, A) with W lifted to
-    Q_G W for G = Q_G R_G (``qr_stack``): an n-by-n CS step instead of a
-    d-by-n one (Chan, ACM TOMS 8, 1982).  U_1 is completed to m-by-m.
-    The triplet comes from ``_check_triplet``.
-    """
-    q, r = qr_stack([g])
-    f1 = _cs_gsvd(r, a)
-    f1 = replace(f1, u=q.rows(0, g.shape[0], f1.u))
-    u1_full = complete_orthonormal(f1.v)
-    return f1, u1_full, _sigma_inv_gamma_t(f1, a.shape[0]), b.T @ u1_full
 
 
 def rsvd_deterministic(a, b, g):
@@ -147,20 +145,11 @@ def rsvd_deterministic(a, b, g):
     the ``rcur rsvd`` factor files hold them, and criteria 5 and 6 time this
     baseline with the completion: without it their speed clauses would fail.
     """
-    return _rsvd_deterministic(*_check_triplet(a, b, g))
-
-
-def _rsvd_deterministic(a, b, g):
-    """``rsvd_deterministic`` on a validated triplet."""
-    f1, u1_full, x, bt_u1 = _first_stage(a, b, g)
-    f2 = _cs_gsvd(x, bt_u1, require_full_rank=False)
-    factors = _assemble(f1, u1_full, f2, f2.v)
-    return replace(factors, u=complete_orthonormal(factors.u),
-                   v=complete_orthonormal(factors.v))
+    return _rsvd(*_check_triplet(a, b, g))
 
 
 def randomized_rsvd(a, b, g, cfg: SketchConfig):
-    """Randomized RSVD: ``_first_stage``, then the second GSVD on a sketch.
+    """Randomized RSVD: the exact first stage, the second GSVD on a sketch.
 
     The one sketch (``range_finder``) compresses the l-by-m product B^T U_1
     to ``cfg.width()`` = khat + p columns, raised to at least m - n + 1 so
@@ -168,15 +157,4 @@ def randomized_rsvd(a, b, g, cfg: SketchConfig):
     column signs; the GSVD sign convention fixes them, so the factors do not
     depend on the QR route or the BLAS thread count.
     """
-    return _randomized_rsvd(*_check_triplet(a, b, g), cfg)
-
-
-def _randomized_rsvd(a, b, g, cfg: SketchConfig):
-    """``randomized_rsvd`` on a validated triplet."""
-    f1, u1_full, x, bt_u1 = _first_stage(a, b, g)
-    n, m = x.shape
-    # child 0 seeded a sketch of G, now G's QR; child 1 keeps Omega_2's draws
-    _, seed2 = split_seed(cfg.seed, 2)
-    h2 = _range_finder(bt_u1, max(cfg.width(), m - n + 1), seed2)
-    f2 = _cs_gsvd(x, h2.T @ bt_u1, require_full_rank=False)
-    return _assemble(f1, u1_full, f2, h2 @ f2.v)
+    return _rsvd(*_check_triplet(a, b, g), cfg)

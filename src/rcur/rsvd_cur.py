@@ -18,12 +18,7 @@ import numpy as np
 
 from .linalg import as_matrix, qr_thin, select_columns, select_rows, svd_thin, two_norm
 from .gcur import _middle_matrix, sketch_tail_bound
-from .rsvd import (
-    RsvdFactors,
-    _check_triplet,
-    _randomized_rsvd,
-    _rsvd_deterministic,
-)
+from .rsvd import RsvdFactors, _check_triplet, _rsvd
 from .selection import _select_indices, deim_growth_bound, select_indices
 from .sketch import SketchConfig
 
@@ -98,7 +93,9 @@ def _rsvd_cur_from_factors(a, b, g, factors, k, khat=None,
     public ``select_indices`` only for factors that came from a caller."""
     p = select(factors.w, k, khat)
     s = select(factors.z, k, khat)
-    p_b = select(_carrying_columns(factors.u), k, khat)
+    # the selection reads at most n <= m columns of U, and U's first m
+    # columns are the thin B-side factor, so the completion is not scanned
+    p_b = select(_carrying_columns(factors.u[:, :a.shape[0]]), k, khat)
     s_g = select(factors.v, k, khat)
     return RsvdCurFactors(
         p=p, p_b=p_b, s=s, s_g=s_g,
@@ -112,8 +109,7 @@ def _rsvd_cur_from_factors(a, b, g, factors, k, khat=None,
 def rsvd_cur(a, b, g, k, khat=None):
     """Rank-k RSVD-CUR from the deterministic (full-factor) RSVD."""
     a, b, g = _check_triplet(a, b, g)
-    return _rsvd_cur_from_factors(a, b, g, _rsvd_deterministic(a, b, g), k,
-                                  khat)
+    return _rsvd_cur_from_factors(a, b, g, _rsvd(a, b, g), k, khat)
 
 
 def r_ldeim_rsvd_cur(a, b, g, cfg: SketchConfig):
@@ -121,7 +117,7 @@ def r_ldeim_rsvd_cur(a, b, g, cfg: SketchConfig):
     L-DEIM reads ``cfg.columns_read()`` = min(k, khat + p) columns; k
     indices."""
     a, b, g = _check_triplet(a, b, g)
-    return _rsvd_cur_from_factors(a, b, g, _randomized_rsvd(a, b, g, cfg),
+    return _rsvd_cur_from_factors(a, b, g, _rsvd(a, b, g, cfg),
                                   cfg.target_rank, cfg.columns_read())
 
 

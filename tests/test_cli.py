@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.io
 
 import rcur
 from rcur.bench import exp1_instance, exp4_instance
@@ -257,6 +258,43 @@ def test_numerical_failure_exits_one(tmp_path, capsys):
                 "--out-prefix", str(tmp_path / "o")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_rsvd_of_b_deficient_outside_range_a_exits_one(tmp_path, capsys):
+    # u^T B = 0 for a unit u orthogonal to range(A): outside the RSVD's
+    # contract, so a typed error and no factor files
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((6, 4))
+    u = np.linalg.qr(np.hstack([a, np.ones((6, 1))]))[0][:, 4]
+    b = rng.standard_normal((6, 10))
+    paths = []
+    for name, mat in (("a", a), ("b", b - np.outer(u, u @ b)),
+                      ("g", rng.standard_normal((8, 4)))):
+        paths += [f"--{name}", str(tmp_path / f"{name}.mtx")]
+        write_matrix(paths[-1], mat)
+    for extra in ([], ["-k", "2", "--randomized"]):
+        code = run(["rsvd", *paths, "--out-prefix", str(tmp_path / "o"),
+                    *extra])
+        assert code == 1
+        assert "rank deficient" in capsys.readouterr().err
+        assert list(tmp_path.glob("o_*")) == []
+
+
+def test_complex_matrix_exits_one(tmp_path, capsys):
+    # casting would drop the imaginary part and report on the real part
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((30, 12)) + 1j * rng.standard_normal((30, 12))
+    pa = tmp_path / "a.mtx"
+    scipy.io.mmwrite(pa, a)
+    with pytest.raises(ValueError, match="must be real"):
+        rcur.deim_cur(scipy.io.mmread(pa), 3)
+    report = tmp_path / "cur.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["cur", "--a", str(pa), "-k", "3", "--report", str(report)])
+    assert code == 1
+    assert "must be real" in capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("flags", [

@@ -11,10 +11,12 @@ import pytest
 
 import rcur
 import rcur.linalg
+from rcur.gcur import middle_matrix
 from rcur.gsvd import _cs_gsvd, gsvd
 from rcur.linalg import (
     _INV_LEAF,
     DimensionError,
+    RankDeficiencyError,
     _inv_upper,
     as_index_list,
     as_matrix,
@@ -44,12 +46,40 @@ def test_as_matrix_casts_to_float64():
     assert m.shape == (2, 2)
 
 
+def test_as_matrix_refuses_complex_input():
+    # a cast would drop the imaginary part with only a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in ([[1.0 + 2.0j, 0.0]], np.zeros((2, 2), dtype=np.complex64),
+                  np.eye(2) + 0j):
+            with pytest.raises(ValueError, match="B must be real"):
+                as_matrix(a, "B")
+
+
 def test_as_index_list_validation():
     assert list(as_index_list([2, 0, 1], 3)) == [2, 0, 1]
+    assert list(as_index_list(np.array([2, 0], dtype=np.uint8), 3)) == [2, 0]
+    # an empty list is float64 under np.asarray, and stays accepted
+    assert as_index_list([], 3).size == 0
     with pytest.raises(IndexError):
         as_index_list([0, 3], 3)
     with pytest.raises(ValueError):
         as_index_list([1, 1], 3)
+
+
+@pytest.mark.parametrize("idx", [
+    [0.9, 2.2], np.array([True, False]), np.array([1.0, 0.0]),
+], ids=["float-list", "bool-mask", "integral-floats"])
+def test_non_integer_indices_are_refused_not_cast(idx):
+    # a cast would select columns 0 and 2 for [0.9, 2.2], and 1 and 0 for
+    # the mask [True, False]
+    a = np.arange(12.0).reshape(3, 4)
+    with pytest.raises(ValueError, match="column indices must be integers"):
+        select_columns(a, idx)
+    with pytest.raises(ValueError, match="row indices must be integers"):
+        select_rows(a, idx)
+    with pytest.raises(ValueError, match="column indices must be integers"):
+        middle_matrix(a, idx, [0, 1])
 
 
 def test_qr_thin_reconstructs():
@@ -99,7 +129,7 @@ def check_against_explicit_q(b, a):
     _, _, zt = np.linalg.svd(qa, full_matrices=a.shape[0] < n)
     assert np.abs(q.rows(0, d, zt.T) - q_ref[:d] @ zt.T).max() <= 1e-13
     # and the GSVD factors built from them stay orthonormal
-    f = _cs_gsvd(a, b, require_full_rank=False)
+    f = _cs_gsvd(a, b)
     assert_orthonormal(f.u, rows)
     assert_orthonormal(f.v[:, ~f.small_beta], rows)
 
@@ -203,21 +233,22 @@ def test_gsvd_stack_falls_back_to_one_householder_qr(householder_shapes):
     x = conditioned(rng, 5500, 120, 1e10)
     gsvd(x[2500:], x[:2500])
     assert householder_shapes == [(5500, 120)]
-    # without the rank test a full-rank stack still takes CholeskyQR2
+    # a full-rank stack takes CholeskyQR2
     householder_shapes.clear()
     x = rng.standard_normal((5500, 120))
-    _cs_gsvd(x[2500:], x[:2500], require_full_rank=False)
+    _cs_gsvd(x[2500:], x[:2500])
     assert householder_shapes == []
-    # a singular stack makes CholeskyQR2 decline quietly, and the one
-    # Householder QR still reproduces both matrices
+    # a singular stack makes CholeskyQR2 decline quietly; the one
+    # Householder QR still reproduces the stack, but the kernel refuses it
     x[:, 7] = 0.0
     b, a = x[:2500], x[2500:]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        f = _cs_gsvd(a, b, require_full_rank=False)
+        q, r = qr_stack([b, a])
     assert householder_shapes == [(5500, 120)]
-    for got, want in ((f.reconstruct_a(), a), (f.reconstruct_b(), b)):
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.linalg.norm(q.rows(0, 5500) @ r - x) <= 1e-13 * np.linalg.norm(x)
+    with pytest.raises(RankDeficiencyError):
+        _cs_gsvd(a, b)
 
 
 @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from rcur.linalg import DimensionError, RankDeficiencyError
 from rcur.rsvd import randomized_rsvd, rsvd_deterministic
+from rcur.rsvd_cur import r_ldeim_rsvd_cur, rsvd_cur
 from rcur.sketch import SketchConfig
 
 
@@ -173,3 +174,27 @@ def test_rank_deficient_g_raises():
     g[:, 0] = 1.0
     with pytest.raises((RankDeficiencyError, np.linalg.LinAlgError)):
         rsvd_deterministic(a, b, g)
+
+
+def b_deficient_outside_range_a(seed, m=6, n=4, d=8, ell=10):
+    """A triplet whose B loses rank along a unit direction u orthogonal to
+    range(A): u^T B = 0, with A, G and the rest of B random."""
+    a, b, g = random_triplet(seed, m, n, d, ell)
+    q, _ = np.linalg.qr(np.hstack([a, np.ones((m, 1))]))
+    u = q[:, n]
+    return a, b - np.outer(u, u @ b), g
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_b_deficient_outside_range_a_raises(seed):
+    # the second-stage stack [B^T U_1; Sigma_1^{-1} Gamma_1^T] is singular
+    # along U_1^T u, which neither block sees; factoring it anyway gave a Z
+    # of condition number 1e15 or more
+    a, b, g = b_deficient_outside_range_a(seed)
+    cfg = SketchConfig(2, 1, seed=seed)
+    for factor in (lambda: rsvd_deterministic(a, b, g),
+                   lambda: randomized_rsvd(a, b, g, cfg),
+                   lambda: rsvd_cur(a, b, g, 2),
+                   lambda: r_ldeim_rsvd_cur(a, b, g, cfg)):
+        with pytest.raises(RankDeficiencyError):
+            factor()
