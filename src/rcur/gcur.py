@@ -12,7 +12,7 @@ points have the GSVD kernel form only the factor columns the selection
 reads.
 
 Each public entry point validates each input matrix once and hands it to
-private twins (``gsvd._gsvd``, ``_middle_matrix``,
+private twins (``_gsvd``, ``_randomized_gsvd``, ``_middle_matrix``,
 ``selection._select_indices``) that do not scan it again.
 
 Those thin QRs go by ``linalg.qr_stack``, the kernel the GSVD's stacked QR
@@ -36,7 +36,7 @@ from .linalg import (
     svd_thin,
     two_norm,
 )
-from .gsvd import GsvdFactors, _gsvd
+from .gsvd import GsvdFactors, _gsvd, _randomized_gsvd
 from .selection import (
     _select_indices,
     deim_growth_bound,
@@ -183,7 +183,7 @@ def r_ldeim_gcur(a, b, cfg: SketchConfig):
     indices.  The GSVD forms only those columns of U, V and Y."""
     a, b = as_matrix(a, "A"), as_matrix(b, "B")
     read = cfg.columns_read()
-    factors = _gsvd(a, b, cfg, cols=read)
+    factors = _randomized_gsvd(a, b, cfg, cols=read)
     return _gcur_from_factors(a, b, factors, cfg.target_rank, read)
 
 

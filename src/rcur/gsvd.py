@@ -34,6 +34,7 @@ from .linalg import (
     as_matrix,
     qr_stack,
     qr_thin,
+    stack_rank_deficient,
 )
 from .sketch import SketchConfig, _range_finder
 
@@ -93,8 +94,8 @@ def _cs_gsvd(a, b, cols=None):
     Route: [B; A] = QR by ``qr_stack``; the SVD Q_A = W diag(gamma) Z^T of
     the formed A-block gives U = W and Y = R^T Z; the formed product
     Q_B Z = V diag(beta) gives beta (its column norms) and V, scaled in
-    place in that product's buffer.  Every stack is rank-tested: one whose
-    smallest singular value is at most n * eps times its largest raises
+    place in that product's buffer.  Every stack is rank-tested
+    (``linalg.stack_rank_deficient``): a numerically singular one raises
     ``RankDeficiencyError``.
 
     Both inputs must be 2-d float arrays with finite entries: every caller
@@ -109,13 +110,8 @@ def _cs_gsvd(a, b, cols=None):
         raise DimensionError("stacked pair has fewer rows than columns")
     d, ra = b.shape[0], a.shape[0]
     q, r = qr_stack([b, a])
-    # CholeskyQR2 declines a numerically singular stack, so only a
-    # Householder R is tested, by its singular values relative to the
-    # largest: on a singular stack its diagonal can stay 100x above them
-    if q.r2_inv is None:
-        sv = np.linalg.svd(r, compute_uv=False)
-        if sv[-1] <= n * np.finfo(float).eps * sv[0]:
-            raise RankDeficiencyError("stacked pair [B; A] is rank deficient")
+    if stack_rank_deficient(q, r):
+        raise RankDeficiencyError("stacked pair [B; A] is rank deficient")
     # the full left factor is never needed; the right factor must stay n-by-n
     w, s, zt = np.linalg.svd(q.rows(d, d + ra), full_matrices=ra < n)
     z = zt.T
@@ -176,6 +172,17 @@ def gsvd(a, b):
     return _gsvd(as_matrix(a, "A"), as_matrix(b, "B"))
 
 
+def _gsvd(a, b):
+    """``gsvd`` on validated inputs."""
+    n = a.shape[1]
+    if a.shape[0] < n or b.shape[0] < n:
+        raise DimensionError(
+            f"gsvd needs both matrices to have at least {n} rows, "
+            f"got {a.shape} and {b.shape}"
+        )
+    return _cs_gsvd(a, b)
+
+
 def randomized_gsvd(a, b, cfg: SketchConfig):
     """Randomized GSVD: exact GSVD of (Q Q^T A, B) on a sketched range of A.
 
@@ -184,23 +191,12 @@ def randomized_gsvd(a, b, cfg: SketchConfig):
     orthonormal columns spanning range(Q); B is factored exactly, A only
     through its projection U U^T A, which at the cap is A itself.
     """
-    return _gsvd(as_matrix(a, "A"), as_matrix(b, "B"), cfg)
+    return _randomized_gsvd(as_matrix(a, "A"), as_matrix(b, "B"), cfg)
 
 
-def _gsvd(a, b, cfg=None, cols=None):
-    """The one GSVD body on validated inputs; ``cfg`` sketches A.
-
-    Forms the leading ``cols`` columns of each factor (``_cs_gsvd``), or
-    all of them when None.
-    """
-    if cfg is None:
-        n = a.shape[1]
-        if a.shape[0] < n or b.shape[0] < n:
-            raise DimensionError(
-                f"gsvd needs both matrices to have at least {n} rows, "
-                f"got {a.shape} and {b.shape}"
-            )
-        return _cs_gsvd(a, b, cols=cols)
+def _randomized_gsvd(a, b, cfg: SketchConfig, cols=None):
+    """``randomized_gsvd`` on validated inputs, forming the leading ``cols``
+    columns of each factor (``_cs_gsvd``), or all of them when None."""
     q = _range_finder(a, cfg.width(), cfg.seed)
     factors = _cs_gsvd(q.T @ a, b, cols=cols)
     return replace(factors, u=q @ factors.u)

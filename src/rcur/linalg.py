@@ -7,10 +7,11 @@ the sketching layer.
 A matrix is validated once, by ``as_matrix``, where it enters the library:
 each public entry point calls it once per input matrix.  It then passes
 the array to private twins of the public stages (``gsvd._gsvd``,
-``rsvd._rsvd``, ``sketch._range_finder``, ``gcur._middle_matrix``,
-``selection._select_indices``), which do not scan it again; the public
-stages keep their checks for outside callers.  The kernels ``qr_thin``,
-``qr_stack``, ``cholesky_qr2``, ``svd_thin``, ``two_norm`` and
+``gsvd._randomized_gsvd``, ``rsvd._rsvd``, ``sketch._range_finder``,
+``gcur._middle_matrix``, ``selection._select_indices``), which do not
+scan it again; the public stages keep their checks for outside callers.
+The kernels ``qr_thin``, ``qr_stack``, ``stack_rank_deficient``,
+``cholesky_qr2``, ``svd_thin``, ``two_norm`` and
 ``complete_orthonormal`` take only arrays their callers validated or
 computed, so they check shapes but do not scan the entries again.
 
@@ -21,12 +22,12 @@ it.  It runs CholeskyQR2 (``cholesky_qr2``), all BLAS-3
 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44, 2015); its two
 triangular factors are inverted by 2-by-2 recursive blocking, whose
 off-diagonal blocks are gemms (Du Croz & Higham, IMA J. Numer. Anal. 12,
-1992), not by a pivoted LU of the whole factor.  Where that
-declines (a failed Cholesky, kappa beyond about 1e7, an overflowing Gram
-matrix, a singular stack) it runs one Householder QR of the stack with an
-explicit Q.  On a 2-core OpenBLAS host a Householder QR (geqrf) of a
-20000-by-200 block runs at about 10 GFLOP/s; the gemms CholeskyQR2 is
-built from run at about 57 GFLOP/s.  On skinny blocks a Householder QR
+1992), not by a pivoted LU of the whole factor.  Where that declines (a
+failed Cholesky, kappa beyond about 1e7 with the columns scaled to unit
+norm, an overflowing Gram matrix, a singular stack) it runs one
+Householder QR of the stack with an explicit Q.  On a 2-core OpenBLAS
+host a Householder QR (geqrf) of a 20000-by-200 block runs at about 10
+GFLOP/s; the gemms CholeskyQR2 is built from run at about 57 GFLOP/s.  On skinny blocks a Householder QR
 even runs slower at 2 OpenBLAS threads than at 1: 10.6 against 5.3 ms at
 1000-by-90 on the same host.
 
@@ -55,6 +56,7 @@ __all__ = [
     "CholeskyQ",
     "cholesky_qr2",
     "qr_stack",
+    "stack_rank_deficient",
     "svd_thin",
     "two_norm",
     "relative_error",
@@ -64,9 +66,9 @@ __all__ = [
 ]
 
 
-# CholeskyQR2's first pass loses about kappa^2 * eps of orthogonality; past
-# this loss (kappa beyond about 1e7) it declines and ``qr_stack`` runs
-# Householder QR
+# CholeskyQR2's first pass loses about kappa^2 * eps of orthogonality, kappa
+# that of the stack with unit-norm columns; past this loss (kappa beyond
+# about 1e7) it declines and ``qr_stack`` runs Householder QR
 CHOLQR_ORTH_TOL = 1e-2
 
 # ``_inv_upper`` hands blocks of at most this order to ``np.linalg.inv``, so
@@ -83,10 +85,8 @@ class RankDeficiencyError(np.linalg.LinAlgError):
 
 
 def as_matrix(a, name="matrix"):
-    """Validate and return ``a`` as a 2-d float64 array with finite entries.
-
-    A complex ``a`` is refused: casting it would drop the imaginary part.
-    """
+    """Validate and return ``a`` as a 2-d float64 array with finite entries;
+    a complex ``a`` is refused, since a cast would drop its imaginary part."""
     m = np.asarray(a)
     if np.iscomplexobj(m):
         raise ValueError(f"{name} must be real, got dtype {m.dtype}")
@@ -99,10 +99,8 @@ def as_matrix(a, name="matrix"):
 
 
 def as_index_list(idx, dim, name="indices"):
-    """Validate an ordered list of distinct zero-based indices below ``dim``.
-
-    Indices must be integers: a float or bool array is refused, not cast.
-    """
+    """Validate an ordered list of distinct zero-based indices below ``dim``;
+    a float or bool array is refused, not cast."""
     ind = np.asarray(idx)
     if ind.size and ind.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got dtype {ind.dtype}")
@@ -206,16 +204,35 @@ def qr_stack(blocks):
 
     The only place that picks the QR route.  CholeskyQR2 where it accepts
     the stack; otherwise one Householder QR (``qr_thin``) of the stack with
-    Q formed explicitly, r then bitwise equal to ``np.linalg.qr``'s.  A
-    numerically singular stack makes CholeskyQR2 decline (an accepted one
-    has kappa below about 1e7), so a rank test need only look at a
-    Householder r (``q.r2_inv`` None).  Requires rows >= cols.
+    Q formed explicitly, r then bitwise equal to ``np.linalg.qr``'s.
+    ``stack_rank_deficient`` tells whether the stack was numerically
+    singular.  Requires rows >= cols.
     """
     qr = cholesky_qr2(blocks)
     if qr is not None:
         return qr
     q, r = qr_thin(np.vstack(blocks))
     return CholeskyQ(q1=q), r
+
+
+def stack_rank_deficient(q, r):
+    """Whether the stack ``qr_stack`` factored into (q, r) is numerically
+    singular: the singular values of r with each column divided by its
+    largest entry, the smallest at most n * eps times the largest.
+
+    r D is the R of the stack times a diagonal D, so rank, and this test,
+    ignore column scale, as CholeskyQR2 does: it declines past a scaled
+    kappa of about 1e7, so a CholeskyQR2 r (``q.r2_inv`` set) is never
+    singular.  Unscaled, a block far larger in some columns (the RSVD's
+    second stage, for an ill-conditioned G) would decide; r's diagonal
+    alone can stay 100x above its singular values.  Each entry counts as
+    accurate relative to its column, so a column of roundoff passes.
+    """
+    if q.r2_inv is not None:
+        return False
+    top = np.abs(r).max(axis=0)
+    sv = np.linalg.svd(r / np.where(top > 0.0, top, 1.0), compute_uv=False)
+    return bool(sv[-1] <= r.shape[1] * np.finfo(float).eps * sv[0])
 
 
 def svd_thin(a):

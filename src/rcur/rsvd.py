@@ -1,7 +1,7 @@
 """Restricted SVD of a matrix triplet (A, B, G) via two GSVDs.
 
-For A m-by-n, B m-by-l, G d-by-n with l >= d >= m >= n, B of full row
-rank and G of full column rank, the triplet is factored as
+For A m-by-n of any rank, B m-by-l, G d-by-n with l >= d >= m >= n, B
+of full row rank and G of full column rank, the triplet is factored as
 
     A = Z D_A W^T,    B = Z D_B U^T,    G = V D_G W^T,
 
@@ -11,14 +11,11 @@ through G's QR, then a GSVD of (B^T U1, Sigma1^{-1} Gamma1^T), with the
 diagonal scaling gamma_i = sigma_i / sqrt(sigma_i^2 + 1) which yields
 alpha_i^2 + beta_i^2 + gamma_i^2 = 1.
 
-The randomized path differs only in its one sketch of B^T U1.  A and G are
-factored exactly on both paths; on the randomized path B is approximately
-factored, with sketch-tail error bounds.
-
-A triplet outside the contract raises ``RankDeficiencyError``: a G without
-full column rank, or a rank-deficient second-stage stack, as from a B that
-loses rank along a direction outside range(A) (or, on the randomized path,
-a sketch too narrow for the directions A lacks).
+The randomized path differs only in its one sketch of B^T U1: A and G are
+factored exactly on both paths, B on it approximately, with sketch-tail
+error bounds.  A triplet outside the contract raises
+``RankDeficiencyError``: a G without full column rank, or a B that loses
+rank along a direction outside range(A).
 """
 from __future__ import annotations
 
@@ -94,38 +91,40 @@ def _check_triplet(a, b, g):
 def _rsvd(a, b, g, cfg=None):
     """The one RSVD body on a validated triplet; ``cfg`` sketches B^T U_1.
 
-    First stage: the GSVD of (G, A), taken as that of (R_G, A) with its
-    G-side factor lifted by Q_G for G = Q_G R_G (``qr_stack``), an n-by-n
-    CS step (Chan, ACM TOMS 8, 1982); U_1 is completed to m-by-m.  Second
-    stage: the GSVD of (Sigma_1^{-1} Gamma_1^T, B^T U_1).  With ``cfg``,
-    B^T U_1 is projected onto the sketch basis H_2 and the B-side factor
-    lifted by H_2; without it, U and V are completed.
+    First stage: the GSVD of (R_G, A) for G = Q_G R_G (``qr_stack``), its
+    G-side factor lifted by Q_G, an n-by-n CS step (Chan, ACM TOMS 8,
+    1982); U_1 is completed to m-by-m.  Second stage: the GSVD of
+    (Sigma_1^{-1} Gamma_1^T, B^T U_1), where ``cfg`` projects B^T U_1 onto
+    the sketch basis H_2 and lifts the B-side factor by H_2; without it, U
+    and V are completed.
     """
     m, n = a.shape
     q, r = qr_stack([g])
     f1 = _cs_gsvd(r, a)
     if np.any(f1.gamma <= _SIGMA_TOL):
-        raise RankDeficiencyError(
-            "Sigma_1 is singular: G must have full column rank"
-        )
+        raise RankDeficiencyError("Sigma_1 singular: G lacks full column rank")
     u1 = complete_orthonormal(f1.v)
-    x = np.zeros((n, m))
-    np.fill_diagonal(x, f1.beta / f1.gamma)
+    x = np.eye(n, m) * (f1.beta / f1.gamma)[:, None]
+    # x leaves out the directions A lacks, which B^T U_1 must carry
+    out = np.concatenate([f1.beta <= _SIGMA_TOL, np.ones(m - n, dtype=bool)])
     bt_u1 = b.T @ u1
-    if cfg is None:
-        f2 = _cs_gsvd(x, bt_u1)
-        u = f2.v
-    else:
+    if cfg is not None:
         # child 0 seeded a sketch of G, now G's QR; child 1 seeds Omega_2
         _, seed2 = split_seed(cfg.seed, 2)
-        h2 = _range_finder(bt_u1, max(cfg.width(), m - n + 1), seed2)
-        f2 = _cs_gsvd(x, h2.T @ bt_u1)
-        u = h2 @ f2.v
+        h2 = _range_finder(bt_u1, max(cfg.width(), out.sum() + 1), seed2)
+        bt_u1 = h2.T @ bt_u1
+    # [B^T U_1; x] is singular iff B^T U_1 is on those directions, judged at
+    # B's scale: the kernel's test would pass a column of roundoff there
+    left = bt_u1[:, out]
+    if left.size and (np.linalg.svd(left, compute_uv=False)[-1]
+                      <= m * np.finfo(float).eps * np.linalg.norm(bt_u1)):
+        raise RankDeficiencyError(
+            "B is rank deficient along a direction A lacks")
+    f2 = _cs_gsvd(x, bt_u1)
+    u = f2.v if cfg is None else h2 @ f2.v
     sigma = f2.gamma[:n]
-    # free diagonal scaling; the canonical choice keeps the triplet normalized.
-    # sigma == 0 (A deficient in that direction) would make it singular, so
-    # fall back to 1 there: A and G stay exactly factored, only the
-    # normalization identity is given up for those entries.
+    # free diagonal scaling that keeps the triplet normalized; where A lacks
+    # a direction (sigma == 0) it falls back to 1 and gives that up
     gamma_g = np.where(sigma > _SIGMA_TOL, sigma / np.sqrt(sigma**2 + 1.0), 1.0)
     v = q.rows(0, g.shape[0], f1.u) @ f2.u
     if cfg is None:
@@ -133,8 +132,7 @@ def _rsvd(a, b, g, cfg=None):
     return RsvdFactors(
         z=u1 @ f2.y, w=(f1.y * f1.gamma) @ f2.u / gamma_g, u=u, v=v,
         alpha=sigma * gamma_g, beta=f2.beta[:n], gamma=gamma_g,
-        b_diag=f2.beta.copy(),
-    )
+        b_diag=f2.beta.copy())
 
 
 def rsvd_deterministic(a, b, g):
@@ -152,9 +150,10 @@ def randomized_rsvd(a, b, g, cfg: SketchConfig):
     """Randomized RSVD: the exact first stage, the second GSVD on a sketch.
 
     The one sketch (``range_finder``) compresses the l-by-m product B^T U_1
-    to ``cfg.width()`` = khat + p columns, raised to at least m - n + 1 so
-    the reduced pair stays well posed.  Its realization would follow U_1's
-    column signs; the GSVD sign convention fixes them, so the factors do not
+    to ``cfg.width()`` = khat + p columns, raised to at least m - rank(A) + 1
+    (rank(A) counts the first stage's A-side values above 1e-13) so the
+    reduced pair keeps full rank.  Its realization would follow U_1's column
+    signs; the GSVD sign convention fixes them, so the factors do not
     depend on the QR route or the BLAS thread count.
     """
     return _rsvd(*_check_triplet(a, b, g), cfg)

@@ -93,8 +93,7 @@ def _rsvd_cur_from_factors(a, b, g, factors, k, khat=None,
     public ``select_indices`` only for factors that came from a caller."""
     p = select(factors.w, k, khat)
     s = select(factors.z, k, khat)
-    # the selection reads at most n <= m columns of U, and U's first m
-    # columns are the thin B-side factor, so the completion is not scanned
+    # U's first m columns, the thin B-side factor, hold every column read
     p_b = select(_carrying_columns(factors.u[:, :a.shape[0]]), k, khat)
     s_g = select(factors.v, k, khat)
     return RsvdCurFactors(

@@ -26,6 +26,7 @@ from rcur.linalg import (
     qr_thin,
     select_columns,
     select_rows,
+    stack_rank_deficient,
     svd_thin,
     two_norm,
 )
@@ -249,6 +250,30 @@ def test_gsvd_stack_falls_back_to_one_householder_qr(householder_shapes):
     assert np.linalg.norm(q.rows(0, 5500) @ r - x) <= 1e-13 * np.linalg.norm(x)
     with pytest.raises(RankDeficiencyError):
         _cs_gsvd(a, b)
+
+
+def test_stack_rank_test_ignores_column_scale(monkeypatch):
+    # columns scaled over 20 orders of magnitude leave the rank, and the
+    # test, unchanged on both QR routes; unscaled, the singular values of
+    # the Householder r are 1e-20 apart.  A dependent column is singular
+    # at any scale.
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((300, 20))
+    scale = np.logspace(-10, 10, 20)
+    dependent = x.copy()
+    dependent[:, 5] = x[:, :5] @ rng.standard_normal(5)
+    q, r = qr_stack([x[:100] * scale, x[100:] * scale])
+    assert q.r2_inv is not None
+    assert not stack_rank_deficient(q, r)
+    with monkeypatch.context() as m:
+        m.setattr(rcur.linalg, "cholesky_qr2", lambda blocks: None)
+        for y, singular in ((x, False), (x * scale, False),
+                            (dependent, True), (dependent * scale, True)):
+            q, r = qr_stack([y[:100], y[100:]])
+            assert q.r2_inv is None
+            assert stack_rank_deficient(q, r) == singular
+        sv = np.linalg.svd(qr_stack([x * scale])[1], compute_uv=False)
+        assert sv[-1] / sv[0] < 1e-19
 
 
 @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])

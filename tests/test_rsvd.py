@@ -132,6 +132,52 @@ def test_ill_conditioned_g_takes_the_householder_route(randomized,
                 <= 1e-8 * np.linalg.norm(b))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-4])
+@pytest.mark.parametrize("randomized", [False, True], ids=["det", "rand"])
+def test_stack_rank_test_ignores_the_scale_of_b(randomized, scale,
+                                                householder_shapes):
+    # kappa(G) = 1e10 puts entries near 1e10 into the second-stage stack's
+    # diagonal block Sigma_1^{-1} Gamma_1^T; a B of full row rank whose
+    # smallest singular value is 1e-8 of its largest, along a direction
+    # outside range(A), sends that stack to Householder QR.  Unscaled, its
+    # singular values lie 1e-18 to 1e-23 apart and the triplet was refused;
+    # with its columns scaled they lie about 1e-9 apart, whatever B's scale
+    m, n, d, ell = 20, 12, 30, 40
+    a, b, _ = random_triplet(11, m, n, d, ell)
+    g = _graded_g(np.random.default_rng(11), d, n, 1e10)
+    q, _ = np.linalg.qr(np.hstack([a, np.ones((m, 1))]))
+    u = q[:, n]
+    b = scale * (b - (1.0 - 1e-8) * np.outer(u, u @ b))
+    if randomized:
+        # khat + p = 8 columns, raised to m - n + 1
+        f = randomized_rsvd(a, b, g, SketchConfig(5, 5, seed=0))
+        stack_rows = m - n + 1 + n
+    else:
+        f = rsvd_deterministic(a, b, g)
+        stack_rows = ell + n
+    assert (stack_rows, m) in householder_shapes
+    assert np.linalg.norm(f.reconstruct_a() - a) <= 1e-6 * np.linalg.norm(a)
+    assert np.linalg.norm(f.reconstruct_g() - g) <= 1e-8 * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("rank", [0, 6])
+def test_randomized_second_sketch_covers_the_directions_a_lacks(rank,
+                                                                widths):
+    # each direction A lacks zeroes a row of Sigma_1^{-1} Gamma_1^T, so the
+    # second sketch is raised from khat + p = 8 to m - rank(A) + 1 columns
+    # (capped at m); at m - n + 1 = 9 the stack was singular
+    m, n, d, ell = 20, 12, 30, 40
+    _, b, g = random_triplet(4, m, n, d, ell)
+    rng = np.random.default_rng(rank)
+    a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    f = randomized_rsvd(a, b, g, SketchConfig(5, 5, seed=0))
+    assert widths[-1] == min(m - rank + 1, m)
+    assert np.linalg.norm(f.reconstruct_a() - a) <= 1e-8 * max(
+        np.linalg.norm(a), 1.0)
+    assert np.linalg.norm(f.reconstruct_g() - g) <= 1e-8 * np.linalg.norm(g)
+    assert np.linalg.cond(f.z) < 1e8
+
+
 def test_randomized_reproducible():
     a, b, g = random_triplet(6, m=24, n=16, d=30, ell=36)
     cfg = SketchConfig(4, 5, seed=11)

@@ -44,14 +44,26 @@ def test_recovers_low_rank_signal():
     assert err < 0.2
 
 
-def test_exact_rank_inputs_reconstruct_exactly():
+def exact_rank_triplet(k=4, m=20):
+    """A square m-by-m A of exact rank k, with random B and G."""
     rng = np.random.default_rng(2)
-    k = 4
-    m = 20
     a = rng.standard_normal((m, k)) @ rng.standard_normal((k, m))
-    b = rng.standard_normal((m, 40))
-    g = rng.standard_normal((30, m))
-    fac = rsvd_cur(a, b, g, k)
+    return a, rng.standard_normal((m, 40)), rng.standard_normal((30, m))
+
+
+def test_exact_rank_inputs_reconstruct_exactly():
+    a, b, g = exact_rank_triplet()
+    fac = rsvd_cur(a, b, g, 4)
+    assert np.allclose(fac.reconstruct_a(a), a, atol=1e-7 * np.linalg.norm(a))
+
+
+def test_randomized_on_exact_rank_a_returns_k_indices():
+    # A lacks 16 of its 20 directions, so the second sketch is raised from
+    # khat + p = 4 to 17 columns; at m - n + 1 = 1 the stack was singular
+    a, b, g = exact_rank_triplet()
+    fac = r_ldeim_rsvd_cur(a, b, g, SketchConfig(4, 2))
+    for idx in (fac.p, fac.s, fac.p_b, fac.s_g):
+        assert len(idx) == len(set(idx)) == 4
     assert np.allclose(fac.reconstruct_a(a), a, atol=1e-7 * np.linalg.norm(a))
 
 
