@@ -7,7 +7,7 @@ import numpy as np
 
 from .linalg import as_matrix, select_columns, select_rows, svd_thin
 from .gcur import _middle_matrix
-from .selection import _select_indices
+from .selection import select_indices
 
 __all__ = ["CurFactors", "deim_cur"]
 
@@ -28,6 +28,6 @@ def deim_cur(a, k, khat=None):
     the singular vectors."""
     a = as_matrix(a)
     u, _, v = svd_thin(a)
-    p = _select_indices(v, k, khat)
-    s = _select_indices(u, k, khat)
+    p = select_indices(v, k, khat)
+    s = select_indices(u, k, khat)
     return CurFactors(p=p, s=s, m=_middle_matrix(a, p, s), k=k)

@@ -12,8 +12,9 @@ points have the GSVD kernel form only the factor columns the selection
 reads.
 
 Each public entry point validates each input matrix once and hands it to
-private twins (``_gsvd``, ``_randomized_gsvd``, ``_middle_matrix``,
-``selection._select_indices``) that do not scan it again.
+private twins (``_gsvd``, ``_randomized_gsvd``, ``_middle_matrix``) that do
+not scan it again; ``select_indices`` checks only the basis columns it
+copies.
 
 Those thin QRs go by ``linalg.qr_stack``, the kernel the GSVD's stacked QR
 also runs and the one place that picks the QR route.
@@ -33,16 +34,12 @@ from .linalg import (
     relative_error,
     select_columns,
     select_rows,
+    stack_rank_deficient,
     svd_thin,
     two_norm,
 )
 from .gsvd import GsvdFactors, _gsvd, _randomized_gsvd
-from .selection import (
-    _select_indices,
-    deim_growth_bound,
-    leading_columns,
-    select_indices,
-)
+from .selection import deim_growth_bound, leading_columns, select_indices
 from .sketch import SketchConfig
 
 __all__ = [
@@ -94,25 +91,15 @@ class GcurBound:
 
 def _full_rank_qr(x, what):
     """Thin QR of ``x`` by ``qr_stack``, refused unless its k columns are
-    numerically independent.
-
-    The rank test is lstsq's: the count of |R_ii| above
-    eps * max(x.shape) * max|R_ii|.
-    """
+    numerically independent (``linalg.stack_rank_deficient``)."""
     rows, k = x.shape
     if rows < k:
         raise RankDeficiencyError(f"{k} selected {what} have only {rows} entries")
     q, r = qr_stack([x])
-    q = q.rows(0, rows)
-    diag = np.abs(np.diag(r))
-    tol = np.finfo(float).eps * max(x.shape) * diag.max(initial=0.0)
-    rank = int(np.count_nonzero(diag > tol))
-    if rank < x.shape[1]:
+    if stack_rank_deficient(q, r):
         raise RankDeficiencyError(
-            f"selected {what} have numerical rank {rank} < k={x.shape[1]} "
-            f"(tol {tol:.1e})"
-        )
-    return q, r
+            f"selected {what} are numerically rank deficient at k={k}")
+    return q.rows(0, rows), r
 
 
 def middle_matrix(m, p, s):
@@ -144,15 +131,14 @@ def gcur_from_factors(a, b, factors: GsvdFactors, k, khat=None):
     columns the selection reads are validated.
     """
     return _gcur_from_factors(as_matrix(a, "A"), as_matrix(b, "B"), factors,
-                              k, khat, select=select_indices)
+                              k, khat)
 
 
-def _gcur_from_factors(a, b, factors, k, khat=None, select=_select_indices):
-    """``gcur_from_factors`` on validated A and B; ``select`` is the public
-    ``select_indices`` only for factors that came from a caller."""
-    p = select(factors.y, k, khat)
-    s_a = select(factors.u, k, khat)
-    s_b = select(factors.v, k, khat)
+def _gcur_from_factors(a, b, factors, k, khat=None):
+    """``gcur_from_factors`` on validated A and B."""
+    p = select_indices(factors.y, k, khat)
+    s_a = select_indices(factors.u, k, khat)
+    s_b = select_indices(factors.v, k, khat)
     fac = GcurFactors(p=p, s_a=s_a, m_a=_middle_matrix(a, p, s_a), k=k,
                       s_b=s_b, m_b=_middle_matrix(b, p, s_b))
     used = leading_columns(k, khat)

@@ -51,13 +51,13 @@ class GsvdFactors:
 
     ``u`` has r <= n columns (r < n only on the sketched path, where the
     trailing gammas are exactly zero and carry no A-side directions).
-    ``small_beta`` flags entries with beta below ``BETA_ZERO_TOL``.
+    A beta below ``BETA_ZERO_TOL`` marks a pair outside B's column space.
 
     ``gsvd`` and ``randomized_gsvd`` return every column.  Only the
     randomized GCUR entry points (``r_deim_gcur``, ``r_ldeim_gcur``) work
     on truncated factors, which they never return: there U, V and Y hold
-    the leading columns the selection reads, and gamma, beta and
-    ``small_beta`` as many entries.
+    the leading columns the selection reads, and gamma and beta as many
+    entries.
     """
 
     u: np.ndarray
@@ -65,7 +65,6 @@ class GsvdFactors:
     y: np.ndarray
     gamma: np.ndarray
     beta: np.ndarray
-    small_beta: np.ndarray
 
     def reconstruct_a(self):
         r = self.u.shape[1]
@@ -84,12 +83,11 @@ def _cs_gsvd(a, b, cols=None):
     up to roundoff.
 
     ``cols`` = r returns only the leading min(r, n) columns of U, V and Y
-    (and as many gammas, betas and ``small_beta`` flags): Q_B Z and R^T Z
-    are formed for those columns only.  U and gamma are slices of the full
-    call's; V and Y equal its columns up to the rounding of the narrower
-    gemm.  A small beta among them makes the kernel form every column,
-    since the beta = 0 block is rotated as a whole, and return the leading
-    ones.
+    (and as many gammas and betas): Q_B Z and R^T Z are formed for those
+    columns only.  U and gamma are slices of the full call's; V and Y equal
+    its columns up to the rounding of the narrower gemm.  A small beta
+    among them makes the kernel form every column, since the beta = 0 block
+    is rotated as a whole, and return the leading ones.
 
     Route: [B; A] = QR by ``qr_stack``; the SVD Q_A = W diag(gamma) Z^T of
     the formed A-block gives U = W and Y = R^T Z; the formed product
@@ -163,8 +161,7 @@ def _cs_gsvd(a, b, cols=None):
             padded = np.hstack([v[:, good], np.zeros((d, fill.size))])
             v[:, fill] = qr_thin(padded)[0][:, -fill.size:] * sign[fill]
     return GsvdFactors(u=w[:, :keep], v=v[:, :keep], y=y[:, :keep],
-                       gamma=gamma[:keep], beta=beta[:keep],
-                       small_beta=small[:keep])
+                       gamma=gamma[:keep], beta=beta[:keep])
 
 
 def gsvd(a, b):

@@ -8,8 +8,9 @@ A matrix is validated once, by ``as_matrix``, where it enters the library:
 each public entry point calls it once per input matrix.  It then passes
 the array to private twins of the public stages (``gsvd._gsvd``,
 ``gsvd._randomized_gsvd``, ``rsvd._rsvd``, ``sketch._range_finder``,
-``gcur._middle_matrix``, ``selection._select_indices``), which do not
-scan it again; the public stages keep their checks for outside callers.
+``gcur._middle_matrix``), which do not scan it again; the public stages
+keep their checks for outside callers.  ``selection.ldeim_select`` checks
+only the basis columns it copies, from the scaling it computes anyway.
 The kernels ``qr_thin``, ``qr_stack``, ``stack_rank_deficient``,
 ``cholesky_qr2``, ``svd_thin``, ``two_norm`` and
 ``complete_orthonormal`` take only arrays their callers validated or

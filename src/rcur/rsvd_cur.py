@@ -19,7 +19,7 @@ import numpy as np
 from .linalg import as_matrix, qr_thin, select_columns, select_rows, svd_thin, two_norm
 from .gcur import _middle_matrix, sketch_tail_bound
 from .rsvd import RsvdFactors, _check_triplet, _rsvd
-from .selection import _select_indices, deim_growth_bound, select_indices
+from .selection import deim_growth_bound, select_indices
 from .sketch import SketchConfig
 
 __all__ = [
@@ -71,10 +71,11 @@ def _carrying_columns(u):
 
     On the randomized path the B-side factor spans only the sketch width;
     pairs outside it have a zero diagonal entry and an all-zero column.  The
-    surviving columns are orthonormal and stay in dominance order.
+    surviving columns are orthonormal and stay in dominance order.  A
+    non-finite column is kept, for the selection to refuse.
     """
     norms = np.linalg.norm(u, axis=0)
-    return u[:, norms > 0.5]
+    return u[:, ~(norms <= 0.5)]
 
 
 def rsvd_cur_from_factors(a, b, g, factors: RsvdFactors, k, khat=None):
@@ -83,19 +84,16 @@ def rsvd_cur_from_factors(a, b, g, factors: RsvdFactors, k, khat=None):
     A, B, G and the factor columns the selection reads are validated.
     """
     return _rsvd_cur_from_factors(as_matrix(a, "A"), as_matrix(b, "B"),
-                                  as_matrix(g, "G"), factors, k, khat,
-                                  select=select_indices)
+                                  as_matrix(g, "G"), factors, k, khat)
 
 
-def _rsvd_cur_from_factors(a, b, g, factors, k, khat=None,
-                           select=_select_indices):
-    """``rsvd_cur_from_factors`` on a validated triplet; ``select`` is the
-    public ``select_indices`` only for factors that came from a caller."""
-    p = select(factors.w, k, khat)
-    s = select(factors.z, k, khat)
+def _rsvd_cur_from_factors(a, b, g, factors, k, khat=None):
+    """``rsvd_cur_from_factors`` on a validated triplet."""
+    p = select_indices(factors.w, k, khat)
+    s = select_indices(factors.z, k, khat)
     # U's first m columns, the thin B-side factor, hold every column read
-    p_b = select(_carrying_columns(factors.u[:, :a.shape[0]]), k, khat)
-    s_g = select(factors.v, k, khat)
+    p_b = select_indices(_carrying_columns(factors.u[:, :a.shape[0]]), k, khat)
+    s_g = select_indices(factors.v, k, khat)
     return RsvdCurFactors(
         p=p, p_b=p_b, s=s, s_g=s_g,
         m_a=_middle_matrix(a, p, s),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RankDeficiencyError, as_matrix
+from .linalg import DimensionError, RankDeficiencyError
 
 __all__ = [
     "SelectionResult",
@@ -62,23 +62,43 @@ def _pivot_floor(v):
         np.einsum("ij,ij->j", v, v))
 
 
-def _ldeim(v, k):
-    """The selection loop on a validated m-by-khat basis ``v``, overwritten.
+def ldeim_select(v, k):
+    """Hybrid L-DEIM selection of ``k`` indices from an m-by-khat basis.
 
-    ``v`` is scaled in place by the power of two that puts its largest
-    entry in [0.5, 1), so column norms are at most sqrt(m) and 1/pivot
-    cannot overflow.  ``t_inv`` holds the inverse of the lower-triangular
+    The first khat indices come from DEIM with in-place deflation of the
+    next column only; the remaining k - khat are the largest squared row
+    norms of the deflated basis, excluding already-chosen rows.  A pivot at
+    roundoff level relative to its undeflated column (``_pivot_floor``) is
+    refused as rank deficient.
+
+    ``v`` must be real and 2-d.  Its one F-ordered copy is scaled by the
+    power of two that puts its largest entry in [0.5, 1); that entry is NaN
+    or inf exactly when the copy is not finite, so it is also the
+    finiteness check.  ``t_inv`` holds the inverse of the lower-triangular
     pivot block ``v[p[:j+1], :j+1]`` of the deflated columns and gains one
-    row per step, so the deflation of column j + 1 costs an O(j^2) matvec
-    and one m-by-(j+1) gemv, with no solve.  Step j reads only columns
-    <= j + 1.
+    row per step.
+
+    The DEIM indices have the prefix property: for any j <= khat, the
+    first j of ``ldeim_select(v, k).indices`` are
+    ``deim_select(v[:, :j]).indices``, bitwise, since step i reads only
+    columns <= i + 1.  So one selection at the widest budget gives every
+    narrower DEIM selection.
     """
+    v = np.asarray(v)
+    if np.iscomplexobj(v):
+        raise ValueError(f"basis must be real, got dtype {v.dtype}")
+    if v.ndim != 2:
+        raise DimensionError(f"basis must be 2-dimensional, got shape {v.shape}")
+    v = np.array(v, dtype=np.float64, order="F")
     m, khat = v.shape
     if khat > k:
         raise ValueError(f"basis has {khat} columns but target rank is {k}")
     if k > m:
         raise ValueError(f"cannot select {k} indices from {m} rows")
-    np.ldexp(v, -np.frexp(np.abs(v).max(initial=0.0))[1], out=v)
+    top = np.abs(v).max(initial=0.0)
+    if not np.isfinite(top):
+        raise ValueError("basis contains non-finite entries")
+    np.ldexp(v, -np.frexp(top)[1], out=v)
     floor = _pivot_floor(v)
     p = np.empty(khat, dtype=np.intp)
     t_inv = np.zeros((khat, khat))
@@ -102,28 +122,11 @@ def _ldeim(v, k):
     return SelectionResult(p)
 
 
-def ldeim_select(v, k):
-    """Hybrid L-DEIM selection of ``k`` indices from an m-by-khat basis.
-
-    The first khat indices come from DEIM with in-place deflation of the
-    next column only; the remaining k - khat are the largest squared row
-    norms of the deflated basis, excluding already-chosen rows.  A pivot at
-    roundoff level relative to its undeflated column (``_pivot_floor``) is
-    refused as rank deficient.
-
-    The DEIM indices have the prefix property: for any j <= khat, the
-    first j of ``ldeim_select(v, k).indices`` are
-    ``deim_select(v[:, :j]).indices``, bitwise, since step i reads only
-    columns <= i + 1.  So one selection at the widest budget gives every
-    narrower DEIM selection.
-    """
-    return _ldeim(np.array(as_matrix(v, "basis"), order="F"), k)
-
-
 def deim_select(v):
     """DEIM over the columns of ``v`` (m-by-k, k <= m): L-DEIM at khat = k."""
-    v = np.array(as_matrix(v, "basis"), order="F")
-    return _ldeim(v, v.shape[1])
+    v = np.asarray(v)
+    # ldeim_select refuses a v that is not 2-d before it reads k
+    return ldeim_select(v, v.shape[-1] if v.ndim else 0)
 
 
 def default_khat(k):
@@ -145,8 +148,15 @@ def leading_columns(k, khat=None):
     return k if khat is None else khat
 
 
-def _columns_read(basis, k, khat):
-    """The ``leading_columns`` of ``basis``, refused where it has too few."""
+def select_indices(basis, k, khat=None):
+    """``k`` row indices of ``basis`` by L-DEIM on its ``leading_columns``.
+
+    The one selection policy: CUR, GCUR and RSVD-CUR all call it.  Raises
+    ValueError for a k or khat that ``check_rank`` refuses, and when the
+    basis has fewer columns than the selection reads, instead of silently
+    selecting from a narrower basis.  ``ldeim_select`` checks the columns
+    read as it copies them; columns past them are never read.
+    """
     check_rank(k, khat)
     width = leading_columns(k, khat)
     if width > basis.shape[1]:
@@ -154,25 +164,7 @@ def _columns_read(basis, k, khat):
             f"selection needs {width} basis columns for rank {k}, "
             f"but the basis has {basis.shape[1]}"
         )
-    return basis[:, :width]
-
-
-def select_indices(basis, k, khat=None):
-    """``k`` row indices of ``basis`` by L-DEIM on its ``leading_columns``.
-
-    Raises ValueError for a k or khat that ``check_rank`` refuses, and when
-    the basis has fewer columns than the selection reads, instead of
-    silently selecting from a narrower basis.  The columns read are
-    validated; ``_select_indices`` is the twin for bases the library
-    computed itself.
-    """
-    return ldeim_select(_columns_read(basis, k, khat), k).indices
-
-
-def _select_indices(basis, k, khat=None):
-    """``select_indices`` on a basis the library computed: its columns are
-    copied, F-ordered, straight into the pivot loop, without a scan."""
-    return _ldeim(np.array(_columns_read(basis, k, khat), order="F"), k).indices
+    return ldeim_select(basis[:, :width], k).indices
 
 
 def deim_growth_bound(m, k):

@@ -44,7 +44,8 @@ def test_middle_matrix_reproduces_exact_rank():
 def test_middle_matrix_rank_deficient_columns():
     a = np.zeros((6, 4))
     a[:, 0] = 1.0
-    with pytest.raises(RankDeficiencyError, match="columns have numerical rank 1 < k=2"):
+    with pytest.raises(RankDeficiencyError,
+                       match="selected columns are numerically rank deficient at k=2"):
         middle_matrix(a, [0, 1], [0, 1])
 
 
@@ -52,11 +53,40 @@ def test_middle_matrix_rank_deficient_rows():
     a = lowrank(3, 8, 6, 3)
     a[5] = 2.0 * a[1]
     with pytest.raises(RankDeficiencyError,
-                       match=r"rows have numerical rank 1 < k=2 \(tol \S+\)"):
+                       match="selected rows are numerically rank deficient at k=2"):
         middle_matrix(a, [0, 1], [1, 5])
     # 7 rows of a 6-column matrix can never be independent
     with pytest.raises(RankDeficiencyError):
         middle_matrix(a, [0, 1], np.arange(7))
+
+
+def _combined_column_selection(seed, spread):
+    """A 60x30 Gaussian matrix and 9 selected columns, one of them a
+    combination of 1-7 of the others; ``spread`` draws the coefficients'
+    magnitudes from 1e-4..1e4 instead of the standard normal."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((60, 30))
+    p = rng.choice(30, 9, replace=False)
+    s = rng.choice(60, 9, replace=False)
+    j = int(rng.integers(9))
+    n = int(rng.integers(1, 8))
+    others = rng.choice(np.delete(p, j), n, replace=False)
+    coef = rng.standard_normal(n)
+    if spread:
+        coef = np.sign(coef) * 10.0 ** rng.uniform(-4, 4, n)
+    a[:, p[j]] = a[:, others] @ coef
+    return a, p, s
+
+
+@pytest.mark.parametrize("spread", [False, True], ids=["normal", "spread"])
+def test_middle_matrix_refuses_every_combined_column(spread):
+    # the unpivoted R's diagonal (lstsq's rule) let 4 and 113 of these 300
+    # singular selections through; the column-scaled singular values of R
+    # refuse them all
+    for seed in range(300):
+        a, p, s = _combined_column_selection(seed, spread)
+        with pytest.raises(RankDeficiencyError, match="selected columns"):
+            middle_matrix(a, p, s)
 
 
 def middle_matrix_input(k, kappa=None):

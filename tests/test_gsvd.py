@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rcur.linalg import DimensionError, RankDeficiencyError
 from rcur.gcur import gcur_deterministic
-from rcur.gsvd import _cs_gsvd, gsvd, randomized_gsvd
+from rcur.gsvd import BETA_ZERO_TOL, _cs_gsvd, gsvd, randomized_gsvd
 from rcur.sketch import SketchConfig
 
 
@@ -165,18 +165,19 @@ def test_low_rank_a_flags_small_betas_only_when_b_deficient():
     # B full rank: all betas comfortably positive
     a, b = random_pair(10)
     f = gsvd(a, b)
-    assert not f.small_beta.any()
+    assert not (f.beta < BETA_ZERO_TOL).any()
 
 
 def _check_filled_columns(f, b):
-    good = ~f.small_beta
-    assert f.small_beta.any()
+    small = f.beta < BETA_ZERO_TOL
+    good = ~small
+    assert small.any()
     d = b.shape[0]
-    filled = np.flatnonzero(f.small_beta)[: d - good.sum()]
+    filled = np.flatnonzero(small)[: d - good.sum()]
     vf, vg = f.v[:, filled], f.v[:, good]
     assert np.allclose(vf.T @ vf, np.eye(len(filled)), atol=1e-12)
     assert np.abs(vg.T @ vf).max(initial=0.0) <= 1e-12
-    leftover = np.setdiff1d(np.flatnonzero(f.small_beta), filled)
+    leftover = np.setdiff1d(np.flatnonzero(small), filled)
     assert not f.v[:, leftover].any()
     assert np.linalg.norm(f.reconstruct_b() - b) <= 1e-9 * max(np.linalg.norm(b), 1.0)
 
@@ -197,7 +198,7 @@ def test_small_beta_completion_never_forms_the_square_factor(monkeypatch):
     b = rng.standard_normal((20000, 30))
     b[:, 7] = 0.0
     f = gsvd(a, b)
-    assert f.small_beta.sum() == 1
+    assert (f.beta < BETA_ZERO_TOL).sum() == 1
     _check_filled_columns(f, b)
 
 
@@ -206,7 +207,7 @@ def test_small_beta_completion_when_b_is_zero():
     a = np.random.default_rng(22).standard_normal((30, 6))
     b = np.zeros((10, 6))
     f = gsvd(a, b)
-    assert f.small_beta.all()
+    assert (f.beta < BETA_ZERO_TOL).all()
     _check_filled_columns(f, b)
 
 
@@ -219,7 +220,7 @@ def test_small_beta_completion_runs_out_when_b_is_short():
     b[:, 2] = 0.0
     b[3] = b[0]
     f = _cs_gsvd(a, b)
-    assert f.small_beta.sum() == 3
+    assert (f.beta < BETA_ZERO_TOL).sum() == 3
     _check_filled_columns(f, b)
 
 
@@ -253,9 +254,10 @@ def test_leading_columns_equal_the_full_kernel(pair):
         part = _cs_gsvd(a, b, cols=r)
         c = min(r, n)
         assert np.array_equal(part.u, full.u[:, :c]), r
-        for name in ("gamma", "small_beta"):
-            assert np.array_equal(getattr(part, name), getattr(full, name)[:c])
-        exact = full.small_beta[:c].any()
+        assert np.array_equal(part.gamma, full.gamma[:c])
+        assert np.array_equal(part.beta < BETA_ZERO_TOL,
+                              full.beta[:c] < BETA_ZERO_TOL)
+        exact = (full.beta[:c] < BETA_ZERO_TOL).any()
         for name in ("v", "y"):
             got, ref = getattr(part, name), getattr(full, name)[:, :c]
             assert got.shape == ref.shape, (name, r)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,15 @@ from hypothesis import strategies as st
 
 from rcur.bench import exp1_instance, exp4_instance
 from rcur.cur import deim_cur
-from rcur.gcur import gcur_deterministic, r_deim_gcur, r_ldeim_gcur
+from rcur.gcur import (
+    gcur_deterministic,
+    gcur_from_factors,
+    r_deim_gcur,
+    r_ldeim_gcur,
+)
 from rcur.gsvd import gsvd, randomized_gsvd
 from rcur.linalg import RankDeficiencyError
-from rcur.rsvd import randomized_rsvd
+from rcur.rsvd import randomized_rsvd, rsvd_deterministic
 from rcur.rsvd_cur import r_ldeim_rsvd_cur, rsvd_cur, rsvd_cur_from_factors
 from rcur.selection import (
     SelectionResult,
@@ -251,6 +258,27 @@ def test_select_indices_rejects_rank_above_basis_width():
     assert len(select_indices(v, 10, khat=4)) == 10
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_select_indices_refuses_non_finite_columns_it_reads(bad):
+    v = random_basis(10, 20, 6)
+    v[7, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        select_indices(v, 4)
+    with pytest.raises(ValueError, match="non-finite"):
+        select_indices(v, 6, khat=3)
+    # L-DEIM at khat = 2 reads columns 0 and 1 only
+    assert np.array_equal(select_indices(v, 6, khat=2),
+                          ldeim_select(v[:, :2], 6).indices)
+
+
+def test_ldeim_refuses_complex_basis():
+    v = random_basis(12, 10, 3) * (1 + 1j)
+    with pytest.raises(ValueError, match="must be real"):
+        ldeim_select(v, 4)
+    with pytest.raises(ValueError, match="must be real"):
+        deim_select(v)
+
+
 RNG = np.random.default_rng(30)
 # A (50x20) alone and in the pair (A, B 20x20); a triplet (A 10x8, B 10x30,
 # G 20x8) with l >= d >= m >= n
@@ -310,3 +338,24 @@ def test_randomized_deim_is_ldeim_at_full_budget_on_exp4(seed):
 
 def test_growth_bound_value():
     assert np.isclose(deim_growth_bound(12, 2), np.sqrt(8.0) * 4.0)
+
+
+def _poisoned(factors, name):
+    """``factors`` with a NaN in the first column of factor ``name``, which
+    every selection reads."""
+    x = getattr(factors, name).copy()
+    x[-1, 0] = np.nan
+    return replace(factors, **{name: x})
+
+
+@pytest.mark.parametrize("name", ["y", "u", "v"])
+def test_gcur_from_factors_refuses_a_nan_in_a_factor(name):
+    with pytest.raises(ValueError, match="non-finite"):
+        gcur_from_factors(A, B, _poisoned(gsvd(A, B), name), 3)
+
+
+@pytest.mark.parametrize("name", ["w", "z", "u", "v"])
+def test_rsvd_cur_from_factors_refuses_a_nan_in_a_factor(name):
+    factors = _poisoned(rsvd_deterministic(TA, TB, TG), name)
+    with pytest.raises(ValueError, match="non-finite"):
+        rsvd_cur_from_factors(TA, TB, TG, factors, 2)
