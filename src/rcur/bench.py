@@ -100,22 +100,16 @@ def exp4_run(ell, d, m, k, epsilon, oversampling, seeds, khats=None):
     for seed in seeds:
         a, a_e, b, g = exp4_instance(ell, d, m, epsilon, seed)
         norm_a = np.linalg.norm(a, 2)
-
-        fac, ms = _timed(rsvd_cur, a_e, b, g, k)
-        err = np.linalg.norm(a - fac.reconstruct_a(a_e), 2) / norm_a
-        rows.append({
-            "experiment": "exp4", "l": ell, "d": d, "m": m, "eps": epsilon,
-            "k": k, "khat": k, "p": 0, "method": "deim-rsvd-cur",
-            "seed": seed, "err": err, "wall_ms": ms,
-        })
-        for khat in khats:
-            cfg = SketchConfig(k, oversampling, ldeim_budget=khat, seed=seed)
-            fac, ms = _timed(r_ldeim_rsvd_cur, a_e, b, g, cfg)
+        runs = [("deim-rsvd-cur", k, 0, rsvd_cur, k)] + [
+            ("r-ldeim-rsvd-cur", khat, oversampling, r_ldeim_rsvd_cur,
+             SketchConfig(k, oversampling, ldeim_budget=khat, seed=seed))
+            for khat in khats]
+        for method, khat, p, decompose, rank_or_cfg in runs:
+            fac, ms = _timed(decompose, a_e, b, g, rank_or_cfg)
             err = np.linalg.norm(a - fac.reconstruct_a(a_e), 2) / norm_a
             rows.append({
                 "experiment": "exp4", "l": ell, "d": d, "m": m, "eps": epsilon,
-                "k": k, "khat": khat, "p": oversampling,
-                "method": "r-ldeim-rsvd-cur", "seed": seed,
-                "err": err, "wall_ms": ms,
+                "k": k, "khat": khat, "p": p, "method": method,
+                "seed": seed, "err": err, "wall_ms": ms,
             })
     return rows

@@ -40,16 +40,16 @@ def _fmt(x):
     return str(x)
 
 
-def _write_report(path, rows, fieldnames):
+def _write_report(path, rows):
+    """CSV of ``rows``, its columns the keys of the first; refused when empty."""
+    if not rows:
+        raise ValueError(f"no rows to write to {path}")
+    fieldnames = list(rows[0])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
         for row in rows:
             writer.writerow([_fmt(row[name]) for name in fieldnames])
-
-
-def _join_indices(idx):
-    return ";".join(str(int(i)) for i in idx)
 
 
 def _selection(args):
@@ -74,19 +74,24 @@ def _read_inputs(args):
             for x in (getattr(args, name) for name in args.inputs)]
 
 
+def _write_matrices(prefix, named):
+    """One ``{prefix}_{name}.mtx`` per entry of the dict ``named``."""
+    for name, mat in named.items():
+        write_matrix(f"{prefix}_{name}.mtx", mat)
+
+
 def _factor_files(args):
     """``gsvd``/``rsvd``: factor the inputs, write one ``.mtx`` per factor
     in ``args.files`` and the per-index values as ``_vals.csv``."""
     mats = _read_inputs(args)
     factors = (args.rand(*mats, _selection(args)[0]) if args.randomized
                else args.det(*mats))
-    for name in args.files:
-        write_matrix(f"{args.out_prefix}_{name}.mtx",
-                     getattr(factors, name.lower()))
+    _write_matrices(args.out_prefix, {name: getattr(factors, name.lower())
+                                      for name in args.files})
     vals = args.vals(factors)
     rows = [{col: float(x) for col, x in zip(vals, xs)}
             for xs in zip(*vals.values())]
-    _write_report(f"{args.out_prefix}_vals.csv", rows, list(vals))
+    _write_report(f"{args.out_prefix}_vals.csv", rows)
     return 0
 
 
@@ -106,38 +111,26 @@ def _report_row(args):
         **args.errors(fac, *mats), "wall_ms": wall_ms,
     }
     for name in args.indices:
-        row[f"indices_{name}"] = _join_indices(getattr(fac, name))
-    _write_report(args.report, [row], list(row))
+        row[f"indices_{name}"] = ";".join(map(str, getattr(fac, name)))
+    _write_report(args.report, [row])
     return 0
 
 
 def _cmd_synth(args):
     if args.kind == "sparse-lowrank":
-        a = sparse_lowrank(args.m, args.n, density=args.density, seed=args.seed)
-        write_matrix(f"{args.out_prefix}_A.mtx", a)
+        named = {"A": sparse_lowrank(args.m, args.n, density=args.density,
+                                     seed=args.seed)}
     elif args.kind == "toeplitz-pair":
-        a, e, a_e = bench.exp1_instance(args.m, args.n, args.eps, args.seed)
-        write_matrix(f"{args.out_prefix}_A.mtx", a)
-        write_matrix(f"{args.out_prefix}_E.mtx", e)
-        write_matrix(f"{args.out_prefix}_AE.mtx", a_e)
+        named = dict(zip(("A", "E", "AE"), bench.exp1_instance(
+            args.m, args.n, args.eps, args.seed)))
     elif args.kind == "bfg-triplet":
-        a, a_e, b, g = bench.exp4_instance(args.l, args.d, args.m, args.eps,
-                                           args.seed)
-        write_matrix(f"{args.out_prefix}_A.mtx", a)
-        write_matrix(f"{args.out_prefix}_AE.mtx", a_e)
-        write_matrix(f"{args.out_prefix}_B.mtx", b)
-        write_matrix(f"{args.out_prefix}_G.mtx", g)
+        named = dict(zip(("A", "AE", "B", "G"), bench.exp4_instance(
+            args.l, args.d, args.m, args.eps, args.seed)))
     else:  # subgroup
-        target, background = subgroup_data(args.m, args.d, seed=args.seed)
-        write_matrix(f"{args.out_prefix}_target.mtx", target)
-        write_matrix(f"{args.out_prefix}_background.mtx", background)
+        named = dict(zip(("target", "background"),
+                         subgroup_data(args.m, args.d, seed=args.seed)))
+    _write_matrices(args.out_prefix, named)
     return 0
-
-
-_BENCH_FIELDS_EXP1 = ["experiment", "m", "n", "eps", "k", "method", "seed",
-                      "err", "wall_ms"]
-_BENCH_FIELDS_EXP4 = ["experiment", "l", "d", "m", "eps", "k", "khat", "p",
-                      "method", "seed", "err", "wall_ms"]
 
 
 def _cmd_bench(args):
@@ -146,13 +139,11 @@ def _cmd_bench(args):
         rows = bench.exp1_sweep(args.m, args.n, args.eps, ks,
                                 seeds=list(range(args.seeds)),
                                 oversampling=args.oversampling)
-        fields = _BENCH_FIELDS_EXP1
     else:
         rows = bench.exp4_run(args.l, args.d, args.m, args.k, args.eps,
                               args.oversampling,
                               seeds=list(range(args.seeds)))
-        fields = _BENCH_FIELDS_EXP4
-    _write_report(args.out, rows, fields)
+    _write_report(args.out, rows)
     return 0
 
 
@@ -195,9 +186,8 @@ def _build_parser():
     add_rand_flags(p)
     p.set_defaults(func=_factor_files, det=gsvd, rand=randomized_gsvd,
                    files=("U", "V", "Y"),
-                   vals=lambda f: {
-                       "gamma": f.gamma, "beta": f.beta,
-                       "ratio": f.gamma / np.maximum(f.beta, 1e-300)})
+                   vals=lambda f: {"gamma": f.gamma, "beta": f.beta,
+                                   "ratio": f.ratio})
 
     p = add_command("rsvd", "restricted SVD of a triplet", ("a", "b", "g"),
                     "--out-prefix")

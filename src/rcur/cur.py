@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, select_columns, select_rows, svd_thin
+from .linalg import as_matrix, select_columns, select_rows
 from .gcur import _middle_matrix
 from .selection import select_indices
 
@@ -27,7 +27,7 @@ def deim_cur(a, k, khat=None):
     """Rank-k CUR with indices from DEIM (L-DEIM given a budget ``khat``) on
     the singular vectors."""
     a = as_matrix(a)
-    u, _, v = svd_thin(a)
-    p = select_indices(v, k, khat)
+    u, _, vt = np.linalg.svd(a, full_matrices=False)
+    p = select_indices(vt.T, k, khat)
     s = select_indices(u, k, khat)
     return CurFactors(p=p, s=s, m=_middle_matrix(a, p, s), k=k)

@@ -35,7 +35,6 @@ from .linalg import (
     select_columns,
     select_rows,
     stack_rank_deficient,
-    svd_thin,
     two_norm,
 )
 from .gsvd import GsvdFactors, _gsvd, _randomized_gsvd
@@ -141,9 +140,7 @@ def _gcur_from_factors(a, b, factors, k, khat=None):
     s_b = select_indices(factors.v, k, khat)
     fac = GcurFactors(p=p, s_a=s_a, m_a=_middle_matrix(a, p, s_a), k=k,
                       s_b=s_b, m_b=_middle_matrix(b, p, s_b))
-    used = leading_columns(k, khat)
-    ratios = factors.gamma[:used] / np.maximum(factors.beta[:used], 1e-300)
-    if np.any(ratios < RATIO_WARN_TOL):
+    if np.any(factors.ratio[:leading_columns(k, khat)] < RATIO_WARN_TOL):
         warnings.warn(
             "trailing generalized-value ratios fall below 1e-12; "
             "the rank-k error will plateau",
@@ -200,14 +197,13 @@ def gcur_bound(a, b, k, p):
     d = b.shape[0]
     if k >= n:
         raise ValueError("bound needs k < n so the (k+1)th pair value exists")
-    _, sa, _ = svd_thin(a)
+    sa = np.linalg.svd(a, compute_uv=False)
     theta = sketch_tail_bound(sa, k, p)
     eta = deim_growth_bound(n, k) + deim_growth_bound(m, k)
     factors = _gsvd(a, b)
     gam, bet = factors.gamma[k], factors.beta[k]
-    _, s_stack, _ = svd_thin(np.vstack([a, b]))
-    pinv_norm = 1.0 / s_stack[-1]
-    norm_sum = two_norm(a) + two_norm(b)
+    pinv_norm = 1.0 / np.linalg.svd(np.vstack([a, b]), compute_uv=False)[-1]
+    norm_sum = sa[0] + two_norm(b)
     bound_a = eta * (theta + norm_sum * (gam / bet + theta / bet * pinv_norm))
     eta_b = deim_growth_bound(n, k) + deim_growth_bound(d, k)
     bound_b = eta_b * norm_sum

@@ -66,6 +66,11 @@ class GsvdFactors:
     gamma: np.ndarray
     beta: np.ndarray
 
+    @property
+    def ratio(self):
+        """Generalized values gamma / beta, with beta floored at 1e-300."""
+        return self.gamma / np.maximum(self.beta, 1e-300)
+
     def reconstruct_a(self):
         r = self.u.shape[1]
         return self.u @ (self.gamma[:r, None] * self.y[:, :r].T)
@@ -132,12 +137,12 @@ def _cs_gsvd(a, b, cols=None):
         # leaves their basis arbitrary within the block.  Canonicalize by
         # rotating the block to the SVD basis of its Y columns, which orders
         # the degenerate pairs by their actual a-side magnitude (the limit
-        # of the generalized-value ordering).
+        # of the generalized-value ordering).  Each has a U column: beta ~ 0
+        # needs gamma ~ 1, and gamma is 0 past the A-block's rows.
         blk = np.flatnonzero(small)
-        if blk.max() < w.shape[1]:
-            pb, sb, qbt = np.linalg.svd(y[:, blk], full_matrices=False)
-            y[:, blk] = pb * sb
-            w[:, blk] = w[:, blk] @ qbt.T
+        pb, sb, qbt = np.linalg.svd(y[:, blk], full_matrices=False)
+        y[:, blk] = pb * sb
+        w[:, blk] = w[:, blk] @ qbt.T
     # the module's sign convention, set by Y alone
     sign = np.where(y[np.abs(y).argmax(axis=0), np.arange(c)] < 0.0, -1.0, 1.0)
     y *= sign

@@ -12,9 +12,9 @@ the array to private twins of the public stages (``gsvd._gsvd``,
 keep their checks for outside callers.  ``selection.ldeim_select`` checks
 only the basis columns it copies, from the scaling it computes anyway.
 The kernels ``qr_thin``, ``qr_stack``, ``stack_rank_deficient``,
-``cholesky_qr2``, ``svd_thin``, ``two_norm`` and
-``complete_orthonormal`` take only arrays their callers validated or
-computed, so they check shapes but do not scan the entries again.
+``cholesky_qr2``, ``two_norm`` and ``complete_orthonormal`` take only
+arrays their callers validated or computed, so they check shapes but do
+not scan the entries again.
 
 ``qr_stack`` is the one place that picks how a row stack of blocks is
 QR-factored; the GSVD's stacked pair, the RSVD's G, the middle matrices'
@@ -32,10 +32,9 @@ GFLOP/s; the gemms CholeskyQR2 is built from run at about 57 GFLOP/s.  On skinny
 even runs slower at 2 OpenBLAS threads than at 1: 10.6 against 5.3 ms at
 1000-by-90 on the same host.
 
-``qr_thin`` (a Householder QR) is left to ``qr_stack``'s fallback, to the
-complement ``gsvd`` fills in for small betas and to ``rsvd_cur``'s
-diagnostic bound; ``complete_orthonormal`` runs its own complete
-Householder QR.
+``qr_thin`` (a Householder QR) is left to ``qr_stack``'s fallback and to
+the complement ``gsvd`` fills in for small betas; ``complete_orthonormal``
+runs its own complete Householder QR.
 
 Every kernel calls NumPy's LAPACK and BLAS, never SciPy's: the two packages
 may each bundle their own OpenBLAS build, and when both are loaded their
@@ -58,7 +57,6 @@ __all__ = [
     "cholesky_qr2",
     "qr_stack",
     "stack_rank_deficient",
-    "svd_thin",
     "two_norm",
     "relative_error",
     "select_columns",
@@ -234,12 +232,6 @@ def stack_rank_deficient(q, r):
     top = np.abs(r).max(axis=0)
     sv = np.linalg.svd(r / np.where(top > 0.0, top, 1.0), compute_uv=False)
     return bool(sv[-1] <= r.shape[1] * np.finfo(float).eps * sv[0])
-
-
-def svd_thin(a):
-    """Thin SVD: returns (U, s, V) with A = U @ diag(s) @ V.T, s non-increasing."""
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return u, s, vt.T
 
 
 def two_norm(a):

@@ -30,12 +30,10 @@ from .linalg import (
     complete_orthonormal,
     qr_stack,
 )
-from .gsvd import _cs_gsvd
+from .gsvd import BETA_ZERO_TOL, _cs_gsvd
 from .sketch import SketchConfig, _range_finder, split_seed
 
 __all__ = ["RsvdFactors", "rsvd_deterministic", "randomized_rsvd"]
-
-_SIGMA_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -101,12 +99,12 @@ def _rsvd(a, b, g, cfg=None):
     m, n = a.shape
     q, r = qr_stack([g])
     f1 = _cs_gsvd(r, a)
-    if np.any(f1.gamma <= _SIGMA_TOL):
+    if np.any(f1.gamma <= BETA_ZERO_TOL):
         raise RankDeficiencyError("Sigma_1 singular: G lacks full column rank")
     u1 = complete_orthonormal(f1.v)
     x = np.eye(n, m) * (f1.beta / f1.gamma)[:, None]
     # x leaves out the directions A lacks, which B^T U_1 must carry
-    out = np.concatenate([f1.beta <= _SIGMA_TOL, np.ones(m - n, dtype=bool)])
+    out = np.concatenate([f1.beta <= BETA_ZERO_TOL, np.ones(m - n, dtype=bool)])
     bt_u1 = b.T @ u1
     if cfg is not None:
         # child 0 seeded a sketch of G, now G's QR; child 1 seeds Omega_2
@@ -125,7 +123,7 @@ def _rsvd(a, b, g, cfg=None):
     sigma = f2.gamma[:n]
     # free diagonal scaling that keeps the triplet normalized; where A lacks
     # a direction (sigma == 0) it falls back to 1 and gives that up
-    gamma_g = np.where(sigma > _SIGMA_TOL, sigma / np.sqrt(sigma**2 + 1.0), 1.0)
+    gamma_g = np.where(sigma > BETA_ZERO_TOL, sigma / np.sqrt(sigma**2 + 1.0), 1.0)
     v = q.rows(0, g.shape[0], f1.u) @ f2.u
     if cfg is None:
         u, v = complete_orthonormal(u), complete_orthonormal(v)

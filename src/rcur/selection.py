@@ -91,8 +91,8 @@ def ldeim_select(v, k):
         raise DimensionError(f"basis must be 2-dimensional, got shape {v.shape}")
     v = np.array(v, dtype=np.float64, order="F")
     m, khat = v.shape
-    if khat > k:
-        raise ValueError(f"basis has {khat} columns but target rank is {k}")
+    if not 1 <= khat <= k:
+        raise ValueError(f"basis has {khat} columns, L-DEIM needs 1 to k={k}")
     if k > m:
         raise ValueError(f"cannot select {k} indices from {m} rows")
     top = np.abs(v).max(initial=0.0)
@@ -155,8 +155,12 @@ def select_indices(basis, k, khat=None):
     ValueError for a k or khat that ``check_rank`` refuses, and when the
     basis has fewer columns than the selection reads, instead of silently
     selecting from a narrower basis.  ``ldeim_select`` checks the columns
-    read as it copies them; columns past them are never read.
+    read as it copies them; columns past them are never read, so a basis
+    that is not a 2-d array (a list would be copied whole) is refused.
     """
+    if not isinstance(basis, np.ndarray) or basis.ndim != 2:
+        raise DimensionError(f"basis must be a 2-d array, got {type(basis).__name__}"
+                             f" of shape {getattr(basis, 'shape', None)}")
     check_rank(k, khat)
     width = leading_columns(k, khat)
     if width > basis.shape[1]:

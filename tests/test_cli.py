@@ -10,9 +10,11 @@ import pytest
 import scipy.io
 
 import rcur
-from rcur.bench import exp1_instance, exp4_instance
+from rcur.bench import exp1_instance, exp1_sweep, exp4_instance, exp4_run
 from rcur.cli import run
+from rcur.gsvd import gsvd
 from rcur.io import read_matrix, write_csv, write_matrix
+from rcur.synth import subgroup_data
 
 
 @pytest.fixture()
@@ -209,6 +211,25 @@ def test_synth_command(tmp_path):
     assert np.allclose(a + e, ae)
 
 
+@pytest.mark.parametrize("kind,flags,names,generate", [
+    ("bfg-triplet", ["--l", "120", "--d", "60", "--m", "30", "--eps", "0.1"],
+     ("A", "AE", "B", "G"), lambda: exp4_instance(120, 60, 30, 0.1, 3)),
+    ("subgroup", ["--m", "20", "--d", "5"], ("target", "background"),
+     lambda: subgroup_data(20, 5, seed=3)),
+], ids=["bfg-triplet", "subgroup"])
+def test_synth_writes_what_the_generator_returns(tmp_path, kind, flags, names,
+                                                 generate):
+    prefix = str(tmp_path / "s")
+    assert run(["synth", "--kind", kind, *flags, "--seed", "3",
+                "--out-prefix", prefix]) == 0
+    assert sorted(x.name for x in tmp_path.iterdir()) == sorted(
+        f"s_{name}.mtx" for name in names)
+    for name, want in zip(names, generate()):
+        got = read_matrix(f"{prefix}_{name}.mtx")
+        assert got.shape == want.shape
+        assert np.array_equal(got, want), name
+
+
 def test_bench_exp1_command(tmp_path):
     out = tmp_path / "bench.csv"
     code = run(["bench", "exp1", "--m", "120", "--n", "30", "--eps", "0.1",
@@ -219,6 +240,8 @@ def test_bench_exp1_command(tmp_path):
     assert {r["method"] for r in rows} == {"cur", "gcur", "r-deim-gcur",
                                            "r-ldeim-gcur"}
     assert {r["k"] for r in rows} == {"2", "4"}
+    # the header is the keys bench puts in every row
+    assert list(rows[0]) == list(exp1_sweep(120, 30, 0.1, [2], seeds=[0])[0])
 
 
 def test_bench_exp4_command(tmp_path):
@@ -229,6 +252,21 @@ def test_bench_exp4_command(tmp_path):
     assert code == 0
     rows = read_report(out)
     assert len(rows) == 3
+    assert list(rows[0]) == list(exp4_run(100, 50, 30, 4, 0.1, 10, seeds=[0])[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["exp1", "--m", "120", "--n", "30", "--eps", "0.1", "--kmax", "4"],
+    ["exp4", "--l", "100", "--d", "50", "--m", "30", "-k", "4", "--eps", "0.1",
+     "-p", "10"],
+], ids=["exp1", "exp4"])
+def test_empty_bench_sweep_exits_one_and_writes_nothing(tmp_path, capsys,
+                                                        argv):
+    out = tmp_path / "bench.csv"
+    code = run(["bench", *argv, "--seeds", "0", "--out", str(out)])
+    assert code == 1
+    assert "no rows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_randomized_gsvd_and_rsvd_follow_method(tmp_path, widths):
@@ -438,3 +476,12 @@ def test_factor_files_and_value_columns(ci_inputs, tmp_path, command, inputs,
         assert sorted(x.name for x in out.iterdir()) == sorted(
             [f"o_{x}.mtx" for x in files] + ["o_vals.csv"])
         assert (out / "o_vals.csv").read_text().splitlines()[0] == header
+
+
+def test_gsvd_ratio_column_is_the_factors_ratio(ci_inputs, tmp_path):
+    prefix = str(tmp_path / "o")
+    assert run(["gsvd", "--a", ci_inputs["ae"], "--b", ci_inputs["e"],
+                "--out-prefix", prefix]) == 0
+    ratio = gsvd(read_matrix(ci_inputs["ae"]), read_matrix(ci_inputs["e"])).ratio
+    assert [row["ratio"] for row in read_report(f"{prefix}_vals.csv")] == [
+        format(x, ".12g") for x in ratio]

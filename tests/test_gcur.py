@@ -286,6 +286,35 @@ def test_ldeim_without_oversampling_keeps_the_papers_budget(seed):
         assert np.array_equal(getattr(fac, name), getattr(ref, name))
 
 
+# the runs whose indices must not depend on a power-of-two scale of B, and
+# the index vectors checked.  L-DEIM's row-norm extension weighs Y's columns,
+# whose scales follow B's through gamma^2 + beta^2 = 1, so r_ldeim_gcur's p
+# may move past the columns read (exp1 seed 1, c = 2^6, k = 20, from
+# position 17 on); its row indices are invariant
+_SCALE_FREE = {
+    "det": (lambda a, b, k, seed: gcur_deterministic(a, b, k),
+            ("p", "s_a", "s_b")),
+    "r_deim": (lambda a, b, k, seed: r_deim_gcur(
+        a, b, SketchConfig(k, 5, seed=seed)), ("p", "s_a", "s_b")),
+    "r_ldeim": (lambda a, b, k, seed: r_ldeim_gcur(
+        a, b, SketchConfig(k, 5, seed=seed)), ("s_a", "s_b")),
+}
+
+
+@pytest.mark.parametrize("method", list(_SCALE_FREE))
+@pytest.mark.parametrize("seed", range(5))
+def test_indices_ignore_a_power_of_two_scale_of_b(seed, method):
+    decompose, names = _SCALE_FREE[method]
+    _, e, a_e = exp1_instance(600, 80, 0.05, seed)
+    for k in (5, 10, 20):
+        ref = decompose(a_e, e, k, seed)
+        for c in (2.0**-6, 2.0**6):
+            fac = decompose(a_e, c * e, k, seed)
+            for name in names:
+                assert np.array_equal(getattr(fac, name), getattr(ref, name)), \
+                    (k, c, name)
+
+
 # the stacked 2000x300 pair takes the blocked triangular inverse (n > 128) on
 # both paths; k <= 50 stays below the pair's numerical rank, past which
 # gamma/beta = 1 clusters let roundoff choose the basis.  The exp4 triplet

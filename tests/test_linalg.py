@@ -27,7 +27,6 @@ from rcur.linalg import (
     select_columns,
     select_rows,
     stack_rank_deficient,
-    svd_thin,
     two_norm,
 )
 
@@ -296,14 +295,6 @@ def test_gsvd_cholesky_route_matches_householder_route(cond, monkeypatch):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         for w in (f.u, f.v):
             assert np.abs(w.T @ w - np.eye(120)).max() <= 1e-13
-
-
-def test_svd_thin_reconstructs():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((8, 11))
-    u, s, v = svd_thin(a)
-    assert np.allclose(u @ np.diag(s) @ v.T, a)
-    assert np.all(np.diff(s) <= 0)
 
 
 def test_two_norm_matches_numpy():

@@ -14,7 +14,7 @@ from rcur.gcur import (
     r_ldeim_gcur,
 )
 from rcur.gsvd import gsvd, randomized_gsvd
-from rcur.linalg import RankDeficiencyError
+from rcur.linalg import DimensionError, RankDeficiencyError
 from rcur.rsvd import randomized_rsvd, rsvd_deterministic
 from rcur.rsvd_cur import r_ldeim_rsvd_cur, rsvd_cur, rsvd_cur_from_factors
 from rcur.selection import (
@@ -269,6 +269,24 @@ def test_select_indices_refuses_non_finite_columns_it_reads(bad):
     # L-DEIM at khat = 2 reads columns 0 and 1 only
     assert np.array_equal(select_indices(v, 6, khat=2),
                           ldeim_select(v[:, :2], 6).indices)
+
+
+@pytest.mark.parametrize("basis", [[[1, 0], [0, 1], [0.5, 0.5]], np.ones(3)],
+                         ids=["list", "1-d"])
+def test_select_indices_refuses_a_basis_that_is_not_a_2d_array(basis):
+    # it read basis.shape[1] first: AttributeError on a list, IndexError on
+    # a 1-d array
+    with pytest.raises(DimensionError, match="2-d array"):
+        select_indices(basis, 1)
+
+
+@pytest.mark.parametrize("select", [deim_select, lambda v: ldeim_select(v, 2)],
+                         ids=["deim", "ldeim"])
+def test_a_basis_without_columns_is_refused(select):
+    # unchecked, DEIM returns no index and L-DEIM rows 0 and 1 from the
+    # row norms of nothing
+    with pytest.raises(ValueError, match="basis has 0 columns"):
+        select(np.ones((5, 0)))
 
 
 def test_ldeim_refuses_complex_basis():
