@@ -202,7 +202,9 @@ def gcur_bound(a, b, k, p):
     eta = deim_growth_bound(n, k) + deim_growth_bound(m, k)
     factors = _gsvd(a, b)
     gam, bet = factors.gamma[k], factors.beta[k]
-    pinv_norm = 1.0 / np.linalg.svd(np.vstack([a, b]), compute_uv=False)[-1]
+    # Y = R^T Z with Z orthogonal and R the R factor of [B; A], so Y has the
+    # singular values of the stack
+    pinv_norm = 1.0 / np.linalg.svd(factors.y, compute_uv=False)[-1]
     norm_sum = sa[0] + two_norm(b)
     bound_a = eta * (theta + norm_sum * (gam / bet + theta / bet * pinv_norm))
     eta_b = deim_growth_bound(n, k) + deim_growth_bound(d, k)

@@ -7,10 +7,12 @@ The pair (A, B) with A m-by-n, B d-by-n is factored as
 with U, V orthonormal columns, Y n-by-n nonsingular, gamma_i^2 + beta_i^2 = 1
 and gamma_i / beta_i non-increasing.  The kernel route is a QR of the
 stacked matrix [B; A] = QR (``linalg.qr_stack``, which picks the QR route)
-followed by an SVD of the A-block of Q (a CS-decomposition step), which
-costs O((m+d) n^2).  Only the A-block Q_A and the B-side product Q_B Z are
-formed, one gemm each.  The public functions form every column; the
-randomized GCUR path asks the kernel for the leading r columns its
+followed by an SVD of the A-block Q_A of Q (a CS-decomposition step), which
+costs O((m+d) n^2).  A tall Q_A (more rows than columns, the deterministic
+GSVD's) is QR-factored by ``qr_stack`` in turn, so the SVD is that of its
+n-by-n R, and U costs one more gemm.  Only Q_A and the B-side product
+Q_B Z are formed, one gemm each.  The public functions form every column;
+the randomized GCUR path asks the kernel for the leading r columns its
 selection reads, and Q_B Z is then formed for those r columns only.
 
 Sign convention: for each pair i the largest-magnitude entry of Y[:, i] is
@@ -95,7 +97,10 @@ def _cs_gsvd(a, b, cols=None):
     is rotated as a whole, and return the leading ones.
 
     Route: [B; A] = QR by ``qr_stack``; the SVD Q_A = W diag(gamma) Z^T of
-    the formed A-block gives U = W and Y = R^T Z; the formed product
+    the formed A-block gives U = W and Y = R^T Z.  A tall block (more rows
+    than n) is factored Q_A = Q' R' by ``qr_stack`` and its SVD taken from
+    the n-by-n R' = W' diag(gamma) Z^T, with W = Q' W' one gemm; gamma
+    agrees with the tall SVD's to roundoff.  The formed product
     Q_B Z = V diag(beta) gives beta (its column norms) and V, scaled in
     place in that product's buffer.  Every stack is rank-tested
     (``linalg.stack_rank_deficient``): a numerically singular one raises
@@ -115,8 +120,15 @@ def _cs_gsvd(a, b, cols=None):
     q, r = qr_stack([b, a])
     if stack_rank_deficient(q, r):
         raise RankDeficiencyError("stacked pair [B; A] is rank deficient")
-    # the full left factor is never needed; the right factor must stay n-by-n
-    w, s, zt = np.linalg.svd(q.rows(d, d + ra), full_matrices=ra < n)
+    if ra > n:
+        # the SVD of the tall block's n-by-n R; U is one gemm (Route above)
+        q_a, r_a = qr_stack([q.rows(d, d + ra)])
+        w, s, zt = np.linalg.svd(r_a)
+        w = q_a.rows(0, ra, w)
+    else:
+        # the full left factor is never needed; the right factor must stay
+        # n-by-n
+        w, s, zt = np.linalg.svd(q.rows(d, d + ra), full_matrices=ra < n)
     z = zt.T
     gamma = np.zeros(n)
     gamma[: min(ra, n)] = np.clip(s, 0.0, 1.0)

@@ -17,9 +17,10 @@ arrays their callers validated or computed, so they check shapes but do
 not scan the entries again.
 
 ``qr_stack`` is the one place that picks how a row stack of blocks is
-QR-factored; the GSVD's stacked pair, the RSVD's G, the middle matrices'
-C and R^T and every sketch basis of ``sketch.range_finder`` go through
-it.  It runs CholeskyQR2 (``cholesky_qr2``), all BLAS-3
+QR-factored; the GSVD's stacked pair and its tall A-block, the RSVD's G,
+the middle matrices' C and R^T and every sketch basis of
+``sketch.range_finder`` go through it.  It runs CholeskyQR2
+(``cholesky_qr2``), all BLAS-3
 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44, 2015); its two
 triangular factors are inverted by 2-by-2 recursive blocking, whose
 off-diagonal blocks are gemms (Du Croz & Higham, IMA J. Numer. Anal. 12,

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcur.linalg import DimensionError, RankDeficiencyError
+from rcur.linalg import DimensionError, RankDeficiencyError, qr_stack
 from rcur.gcur import gcur_deterministic
 from rcur.gsvd import BETA_ZERO_TOL, _cs_gsvd, gsvd, randomized_gsvd
 from rcur.sketch import SketchConfig
@@ -266,3 +267,66 @@ def test_leading_columns_equal_the_full_kernel(pair):
             assert np.all(np.abs(got - ref) <= tol), (name, r)
         tol = 0.0 if exact else 16 * np.finfo(float).eps
         assert np.all(np.abs(part.beta - full.beta[:c]) <= tol), r
+
+
+def _pair_with_values(seed, m, d, gamma):
+    """A = U diag(gamma) X^T, B = V diag(beta) X^T with orthonormal U, V and
+    a random X: the pair's gamma are the given ones."""
+    rng = np.random.default_rng(seed)
+    n = len(gamma)
+    x = rng.standard_normal((n, n))
+    u = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((d, n)))[0]
+    beta = np.sqrt(1.0 - gamma**2)
+    return u @ (gamma[:, None] * x.T), v @ (beta[:, None] * x.T)
+
+
+def _check_against_tall_svd(a, b):
+    """The kernel against the explicit thin SVD of the formed A-block."""
+    q, _ = qr_stack([b, a])
+    oracle = np.linalg.svd(q.rows(b.shape[0], b.shape[0] + a.shape[0]),
+                           compute_uv=False)
+    f = _cs_gsvd(a, b)
+    r = f.u.shape[1]
+    assert np.abs(f.gamma[:r] - oracle).max() <= 1e-13
+    assert np.linalg.norm(f.u.T @ f.u - np.eye(r)) <= 1e-12
+    assert np.linalg.norm(f.reconstruct_a() - a) <= 1e-13 * np.linalg.norm(a)
+    assert np.linalg.norm(f.reconstruct_b() - b) <= 1e-13 * np.linalg.norm(b)
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of every matrix the library passes to ``np.linalg.svd``."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(x, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"].startswith("rcur."):
+            shapes.append(x.shape)
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("smallest, householder", [(0.5, False), (1e-9, True)])
+def test_tall_a_block_goes_through_qr_stack(smallest, householder,
+                                            householder_shapes, svd_shapes):
+    # a tall A-block is QR-factored and only its n-by-n R meets an SVD.
+    # With gamma down to 1e-9 the block has kappa ~ 1e9, CholeskyQR2
+    # declines and qr_stack runs Householder on the block alone
+    m, d, n = 600, 400, 40
+    a, b = _pair_with_values(30, m, d, np.geomspace(0.9, smallest, n))
+    _check_against_tall_svd(a, b)
+    # the oracle's stack QR and tall SVD are called from test code: unseen
+    assert householder_shapes == ([(m, n)] if householder else [])
+    assert svd_shapes == [(n, n)]
+
+
+@pytest.mark.parametrize("m", [40, 41], ids=["square", "one-row-taller"])
+def test_a_block_at_the_tall_boundary_matches_the_tall_svd(m, svd_shapes):
+    # m = n keeps the SVD of the block itself; m = n + 1 is the smallest
+    # block that takes the QR route
+    a, b = random_pair(31, m=m, d=60, n=40)
+    _check_against_tall_svd(a, b)
+    assert svd_shapes == [(40, 40)]
