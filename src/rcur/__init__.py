@@ -37,7 +37,6 @@ from .rsvd_cur import (
     rsvdcur_bound,
 )
 from .selection import (
-    SelectionResult,
     deim_select,
     ldeim_select,
     select_indices,
@@ -62,7 +61,6 @@ __all__ = [
     "RsvdCurBound",
     "RsvdCurFactors",
     "RsvdFactors",
-    "SelectionResult",
     "SketchConfig",
     "bfg_perturb",
     "deim_cur",

@@ -21,6 +21,7 @@ from .cur import deim_cur
 from .gcur import gcur_from_factors, r_deim_gcur, r_ldeim_gcur
 from .gsvd import gsvd
 from .rsvd_cur import r_ldeim_rsvd_cur, rsvd_cur
+from .selection import default_khat
 from .sketch import SketchConfig, split_seed
 from .synth import bfg_perturb, example_weights, sparse_lowrank, toeplitz_noise
 
@@ -84,10 +85,11 @@ def exp1_sweep(m, n, epsilon, ks, seeds, oversampling=5,
     return rows
 
 
-def exp4_instance(ell, d, m, epsilon, seed, terms=100):
-    """Rank-``terms`` square signal A plus structured noise; returns (A, A_E, B, G)."""
+def exp4_instance(ell, d, m, epsilon, seed):
+    """Square signal A of 100 sparse terms plus structured noise; returns
+    (A, A_E, B, G)."""
     gen_seed, noise_seed = split_seed(seed, 2)
-    a = sparse_lowrank(m, m, weights=example_weights(terms), seed=gen_seed)
+    a = sparse_lowrank(m, m, weights=example_weights(100), seed=gen_seed)
     a_e, b, g = bfg_perturb(a, ell, d, epsilon, seed=noise_seed)
     return a, a_e, b, g
 
@@ -95,7 +97,7 @@ def exp4_instance(ell, d, m, epsilon, seed, terms=100):
 def exp4_run(ell, d, m, k, epsilon, oversampling, seeds, khats=None):
     """Error/timing rows comparing deterministic and randomized RSVD-CUR."""
     if khats is None:
-        khats = [k, max(1, k // 2)]
+        khats = [k, default_khat(k)]
     rows = []
     for seed in seeds:
         a, a_e, b, g = exp4_instance(ell, d, m, epsilon, seed)

@@ -126,9 +126,9 @@ def _cs_gsvd(a, b, cols=None):
         w, s, zt = np.linalg.svd(r_a)
         w = q_a.rows(0, ra, w)
     else:
-        # the full left factor is never needed; the right factor must stay
-        # n-by-n
-        w, s, zt = np.linalg.svd(q.rows(d, d + ra), full_matrices=ra < n)
+        # ra <= n rows: the full factors are the thin ones on a square
+        # block, and Z stays n-by-n on a wide one
+        w, s, zt = np.linalg.svd(q.rows(d, d + ra))
     z = zt.T
     gamma = np.zeros(n)
     gamma[: min(ra, n)] = np.clip(s, 0.0, 1.0)
@@ -203,7 +203,8 @@ def randomized_gsvd(a, b, cfg: SketchConfig):
     Q is the m-by-w range basis of A from ``range_finder``, w =
     ``cfg.width()`` = khat + p capped at min(m, n).  The U factor has w
     orthonormal columns spanning range(Q); B is factored exactly, A only
-    through its projection U U^T A, which at the cap is A itself.
+    through its projection U U^T A, which at the cap is A itself.  B needs
+    at least n rows, as in ``gsvd``; A may have fewer (U stays orthonormal).
     """
     return _randomized_gsvd(as_matrix(a, "A"), as_matrix(b, "B"), cfg)
 
@@ -211,6 +212,9 @@ def randomized_gsvd(a, b, cfg: SketchConfig):
 def _randomized_gsvd(a, b, cfg: SketchConfig, cols=None):
     """``randomized_gsvd`` on validated inputs, forming the leading ``cols``
     columns of each factor (``_cs_gsvd``), or all of them when None."""
+    if b.shape[0] < a.shape[1]:
+        raise DimensionError(f"randomized gsvd needs B to have at least "
+                             f"{a.shape[1]} rows, got {b.shape}")
     q = _range_finder(a, cfg.width(), cfg.seed)
     factors = _cs_gsvd(q.T @ a, b, cols=cols)
     return replace(factors, u=q @ factors.u)

@@ -42,8 +42,9 @@ class RsvdFactors:
 
     ``alpha``, ``beta``, ``gamma`` are the first n diagonal entries of
     D_A, D_B, D_G; ``b_diag`` is the full m-entry diagonal of D_B (entries
-    past n are 1).  ``u`` has at least m columns and ``v`` at least n;
-    the deterministic path completes them to full orthogonal matrices.
+    past n are 1), of which ``beta`` is the leading view.  ``u`` has at
+    least m columns and ``v`` at least n; the deterministic path completes
+    them to full orthogonal matrices.
     """
 
     z: np.ndarray
@@ -51,9 +52,12 @@ class RsvdFactors:
     u: np.ndarray
     v: np.ndarray
     alpha: np.ndarray
-    beta: np.ndarray
     gamma: np.ndarray
     b_diag: np.ndarray
+
+    @property
+    def beta(self):
+        return self.b_diag[:len(self.alpha)]
 
     def reconstruct_a(self):
         n = len(self.alpha)
@@ -129,8 +133,7 @@ def _rsvd(a, b, g, cfg=None):
         u, v = complete_orthonormal(u), complete_orthonormal(v)
     return RsvdFactors(
         z=u1 @ f2.y, w=(f1.y * f1.gamma) @ f2.u / gamma_g, u=u, v=v,
-        alpha=sigma * gamma_g, beta=f2.beta[:n], gamma=gamma_g,
-        b_diag=f2.beta.copy())
+        alpha=sigma * gamma_g, gamma=gamma_g, b_diag=f2.beta)
 
 
 def rsvd_deterministic(a, b, g):

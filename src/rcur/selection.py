@@ -15,21 +15,19 @@ power of two so that its largest entry lies in [0.5, 1).  That scaling is
 exact, so the indices do not depend on the basis scale, and it keeps
 1/pivot finite on tiny-scaled bases.
 
-All selectors return distinct zero-based row indices of the input basis
-matrix.  Every argmax breaks ties by lowest index, so results are fully
-deterministic.  CUR, GCUR and RSVD-CUR all select through
-:func:`select_indices`.
+All selectors return an ``intp`` array of distinct zero-based row indices
+of the input basis matrix: a pivot that lands on a row already chosen is
+refused as rank deficient, like a roundoff-level one.  Every argmax breaks
+ties by lowest index, so results are fully deterministic.  CUR, GCUR and
+RSVD-CUR all select through :func:`select_indices`.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DimensionError, RankDeficiencyError
 
 __all__ = [
-    "SelectionResult",
     "deim_select",
     "ldeim_select",
     "default_khat",
@@ -38,17 +36,6 @@ __all__ = [
     "select_indices",
     "deim_growth_bound",
 ]
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    indices: np.ndarray
-
-    def __post_init__(self):
-        ind = np.asarray(self.indices, dtype=np.intp)
-        if len(np.unique(ind)) != len(ind):
-            raise ValueError(f"selected indices are not distinct: {ind}")
-        object.__setattr__(self, "indices", ind)
 
 
 def _pivot_floor(v):
@@ -68,8 +55,9 @@ def ldeim_select(v, k):
     The first khat indices come from DEIM with in-place deflation of the
     next column only; the remaining k - khat are the largest squared row
     norms of the deflated basis, excluding already-chosen rows.  A pivot at
-    roundoff level relative to its undeflated column (``_pivot_floor``) is
-    refused as rank deficient.
+    roundoff level relative to its undeflated column (``_pivot_floor``), or
+    on a row already chosen, is refused as rank deficient: in exact
+    arithmetic the deflated column is zero on the chosen rows.
 
     ``v`` must be real and 2-d.  Its one F-ordered copy is scaled by the
     power of two that puts its largest entry in [0.5, 1); that entry is NaN
@@ -79,10 +67,9 @@ def ldeim_select(v, k):
     row per step.
 
     The DEIM indices have the prefix property: for any j <= khat, the
-    first j of ``ldeim_select(v, k).indices`` are
-    ``deim_select(v[:, :j]).indices``, bitwise, since step i reads only
-    columns <= i + 1.  So one selection at the widest budget gives every
-    narrower DEIM selection.
+    first j of ``ldeim_select(v, k)`` are ``deim_select(v[:, :j])``,
+    bitwise, since step i reads only columns <= i + 1.  So one selection at
+    the widest budget gives every narrower DEIM selection.
     """
     v = np.asarray(v)
     if np.iscomplexobj(v):
@@ -101,13 +88,15 @@ def ldeim_select(v, k):
     np.ldexp(v, -np.frexp(top)[1], out=v)
     floor = _pivot_floor(v)
     p = np.empty(khat, dtype=np.intp)
+    chosen = np.zeros(m, dtype=bool)
     t_inv = np.zeros((khat, khat))
     for j in range(khat):
         col = v[:, j]
         p[j] = np.abs(col).argmax()
         piv = col[p[j]]
-        if abs(piv) <= floor[j]:
+        if abs(piv) <= floor[j] or chosen[p[j]]:
             raise RankDeficiencyError(f"zero pivot at L-DEIM step {j}")
+        chosen[p[j]] = True
         if j + 1 < khat:
             np.divide(v[p[j], :j] @ t_inv[:j, :j], -piv, out=t_inv[j, :j])
             t_inv[j, j] = 1.0 / piv
@@ -119,7 +108,7 @@ def ldeim_select(v, k):
         # stable sort on (-score, index) keeps ties at the lowest index
         order = np.argsort(-scores, kind="stable")
         p = np.concatenate([p, order[: k - khat]])
-    return SelectionResult(p)
+    return p
 
 
 def deim_select(v):
@@ -168,7 +157,7 @@ def select_indices(basis, k, khat=None):
             f"selection needs {width} basis columns for rank {k}, "
             f"but the basis has {basis.shape[1]}"
         )
-    return ldeim_select(basis[:, :width], k).indices
+    return ldeim_select(basis[:, :width], k)
 
 
 def deim_growth_bound(m, k):

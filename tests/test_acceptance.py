@@ -238,14 +238,14 @@ def test_criterion_8_selector_oracle_equivalence():
         k = int(rng.integers(1, 9))
         m = int(rng.integers(k + 1, 51))
         v, _ = np.linalg.qr(rng.standard_normal((m, k)))
-        all_match &= np.array_equal(deim_select(v).indices, _deim_oracle(v))
+        all_match &= np.array_equal(deim_select(v), _deim_oracle(v))
         khat = int(rng.integers(1, k + 1))
         all_match &= np.array_equal(
-            ldeim_select(v[:, :khat], k).indices,
+            ldeim_select(v[:, :khat], k),
             _ldeim_oracle(v[:, :khat], k),
         )
         # interpolation identity: the projection agrees with x on the rows p
-        p = deim_select(v).indices
+        p = deim_select(v)
         x = rng.standard_normal(m)
         proj = v @ np.linalg.solve(v[p, :], x[p])
         worst_interp = max(worst_interp, float(np.max(np.abs(proj[p] - x[p]))))

@@ -318,6 +318,19 @@ def test_rsvd_of_b_deficient_outside_range_a_exits_one(tmp_path, capsys):
         assert list(tmp_path.glob("o_*")) == []
 
 
+def test_randomized_gsvd_of_a_short_b_exits_one(tmp_path, capsys):
+    # B 45x50 has fewer rows than columns: a shape error, no factor files
+    rng = np.random.default_rng(6)
+    pa, pb = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    write_matrix(pa, rng.standard_normal((100, 50)))
+    write_matrix(pb, rng.standard_normal((45, 50)))
+    code = run(["gsvd", "--a", str(pa), "--b", str(pb), "-k", "10",
+                "--randomized", "--out-prefix", str(tmp_path / "o")])
+    assert code == 1
+    assert "at least 50 rows" in capsys.readouterr().err
+    assert list(tmp_path.glob("o_*")) == []
+
+
 def test_complex_matrix_exits_one(tmp_path, capsys):
     # casting would drop the imaginary part and report on the real part
     rng = np.random.default_rng(4)

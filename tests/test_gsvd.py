@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcur.linalg import DimensionError, RankDeficiencyError, qr_stack
-from rcur.gcur import gcur_deterministic
+from rcur.gcur import gcur_deterministic, r_deim_gcur, r_ldeim_gcur
 from rcur.gsvd import BETA_ZERO_TOL, _cs_gsvd, gsvd, randomized_gsvd
 from rcur.sketch import SketchConfig
 
@@ -90,6 +90,21 @@ def test_rejects_wide_inputs():
         gsvd(rng.standard_normal((3, 5)), rng.standard_normal((6, 5)))
     with pytest.raises(DimensionError):
         gsvd(rng.standard_normal((6, 5)), rng.standard_normal((3, 5)))
+
+
+def test_randomized_gsvd_refuses_a_b_with_fewer_rows_than_columns():
+    # unchecked, V had 5 zero columns at d = 45, n = 50, and both randomized
+    # GCURs failed with "zero pivot at L-DEIM step 0"
+    rng = np.random.default_rng(6)
+    a, b = rng.standard_normal((100, 50)), rng.standard_normal((45, 50))
+    cfg = SketchConfig(10, 5, seed=0)
+    for decompose in (randomized_gsvd, r_deim_gcur, r_ldeim_gcur):
+        with pytest.raises(DimensionError, match="at least 50 rows"):
+            decompose(a, b, cfg)
+    # a short A stays accepted: U spans the sketch and is orthonormal
+    f = randomized_gsvd(b, a, cfg)
+    assert np.linalg.norm(f.u.T @ f.u - np.eye(f.u.shape[1])) <= 1e-12
+    assert np.linalg.norm(f.v.T @ f.v - np.eye(50)) <= 1e-12
 
 
 def test_rejects_mismatched_columns():

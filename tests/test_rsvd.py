@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcur.bench import exp4_instance
 from rcur.linalg import DimensionError, RankDeficiencyError
 from rcur.rsvd import randomized_rsvd, rsvd_deterministic
 from rcur.rsvd_cur import r_ldeim_rsvd_cur, rsvd_cur
@@ -59,6 +60,17 @@ def test_b_diag_trailing_entries_are_one():
     n = a.shape[1]
     assert np.allclose(f.b_diag[n:], 1.0, atol=1e-10)
     assert np.allclose(f.b_diag[:n], f.beta)
+
+
+@pytest.mark.xfail(strict=True, reason="U_1 = complete_orthonormal(f1.v) is "
+                   "orthonormal only to about eps / beta_1,min^2 (2.2e-5 here), "
+                   "and B is reconstructed through it to 2.1e-6")
+def test_b_reconstructed_to_roundoff_on_the_exp4_triplet():
+    a, a_e, b, g = exp4_instance(1000, 500, 100, 0.1, 2)
+    f = rsvd_deterministic(a_e, b, g)
+    assert np.linalg.norm(f.reconstruct_a() - a_e) <= 1e-12 * np.linalg.norm(a_e)
+    assert np.linalg.norm(f.reconstruct_g() - g) <= 1e-12 * np.linalg.norm(g)
+    assert np.linalg.norm(f.reconstruct_b() - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_identity_couplings_recover_singular_values():

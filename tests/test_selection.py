@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rcur.bench import exp1_instance, exp4_instance
@@ -18,7 +18,6 @@ from rcur.linalg import DimensionError, RankDeficiencyError
 from rcur.rsvd import randomized_rsvd, rsvd_deterministic
 from rcur.rsvd_cur import r_ldeim_rsvd_cur, rsvd_cur, rsvd_cur_from_factors
 from rcur.selection import (
-    SelectionResult,
     default_khat,
     deim_growth_bound,
     deim_select,
@@ -62,11 +61,6 @@ def random_basis(seed, m, k):
     return q
 
 
-def test_selection_result_rejects_duplicates():
-    with pytest.raises(ValueError):
-        SelectionResult(np.array([1, 1, 2]))
-
-
 @given(st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_deim_matches_oracle(seed):
@@ -74,7 +68,7 @@ def test_deim_matches_oracle(seed):
     m = int(rng.integers(5, 50))
     k = int(rng.integers(1, min(m, 8) + 1))
     v = random_basis(seed, m, k)
-    assert np.array_equal(deim_select(v).indices, deim_oracle(v))
+    assert np.array_equal(deim_select(v), deim_oracle(v))
 
 
 @given(st.integers(0, 10**6))
@@ -85,7 +79,7 @@ def test_ldeim_matches_oracle(seed):
     k = int(rng.integers(2, min(m, 29) + 1))
     khat = int(rng.integers(1, k + 1))
     v = random_basis(seed, m, khat)
-    assert np.array_equal(ldeim_select(v, k).indices, ldeim_oracle(v, k))
+    assert np.array_equal(ldeim_select(v, k), ldeim_oracle(v, k))
 
 
 @given(st.integers(0, 10**6))
@@ -95,7 +89,7 @@ def test_ldeim_with_full_budget_degenerates_to_deim(seed):
     m = int(rng.integers(5, 40))
     k = int(rng.integers(1, min(m, 7) + 1))
     v = random_basis(seed, m, k)
-    assert np.array_equal(ldeim_select(v, k).indices, deim_select(v).indices)
+    assert np.array_equal(ldeim_select(v, k), deim_select(v))
 
 
 @given(st.integers(0, 10**6))
@@ -106,7 +100,7 @@ def test_indices_distinct_and_in_range(seed):
     k = int(rng.integers(2, 9))
     khat = max(1, k // 2)
     v = random_basis(seed, m, khat)
-    idx = ldeim_select(v, k).indices
+    idx = ldeim_select(v, k)
     assert len(idx) == k
     assert len(set(idx.tolist())) == k
     assert idx.min() >= 0 and idx.max() < m
@@ -147,10 +141,10 @@ def test_deim_indices_are_a_prefix_property(seed):
     width = int(rng.integers(2, 31))
     k = int(rng.integers(1, width + 1))
     v = random_basis(seed, m, width)
-    full = deim_select(v).indices
-    assert np.array_equal(deim_select(v[:, :k]).indices, full[:k])
+    full = deim_select(v)
+    assert np.array_equal(deim_select(v[:, :k]), full[:k])
     khat = default_khat(k)
-    assert np.array_equal(ldeim_select(v[:, :khat], k).indices[:khat],
+    assert np.array_equal(ldeim_select(v[:, :khat], k)[:khat],
                           full[:khat])
 
 
@@ -164,11 +158,11 @@ def test_indices_ignore_column_signs_and_follow_row_permutations(seed):
     khat = int(rng.integers(1, 21))
     k = int(rng.integers(khat, min(m, 2 * khat) + 1))
     v = random_basis(seed, m, khat)
-    ref = ldeim_select(v, k).indices
+    ref = ldeim_select(v, k)
     signs = rng.choice([-1.0, 1.0], size=khat)
-    assert np.array_equal(ldeim_select(v * signs, k).indices, ref)
+    assert np.array_equal(ldeim_select(v * signs, k), ref)
     perm = rng.permutation(m)
-    assert np.array_equal(perm[ldeim_select(v[perm], k).indices], ref)
+    assert np.array_equal(perm[ldeim_select(v[perm], k)], ref)
 
 
 @pytest.mark.parametrize("scale", [1e-310, 2.0**-1000, 2.0**1000],
@@ -178,10 +172,10 @@ def test_deim_ignores_basis_scale(scale):
     # 1/pivot overflows on the subnormal basis and the squared row norms
     # overflow or underflow at 2^+-1000
     v = random_basis(0, 400, 40)
-    ref = deim_select(v).indices
-    assert np.array_equal(deim_select(scale * v).indices, ref)
-    assert np.array_equal(ldeim_select(scale * v[:, :20], 40).indices,
-                          ldeim_select(v[:, :20], 40).indices)
+    ref = deim_select(v)
+    assert np.array_equal(deim_select(scale * v), ref)
+    assert np.array_equal(ldeim_select(scale * v[:, :20], 40),
+                          ldeim_select(v[:, :20], 40))
 
 
 def test_interpolation_identity():
@@ -189,7 +183,7 @@ def test_interpolation_identity():
     # on those rows exactly
     rng = np.random.default_rng(7)
     v = random_basis(11, 30, 6)
-    p = deim_select(v).indices
+    p = deim_select(v)
     x = rng.standard_normal(30)
     proj = v @ np.linalg.solve(v[p, :], x[p])
     assert np.allclose(proj[p], x[p], atol=1e-10)
@@ -199,17 +193,80 @@ def test_deim_first_index_is_largest_entry():
     v = np.zeros((6, 1))
     v[4, 0] = -3.0
     v[2, 0] = 2.0
-    assert deim_select(v).indices[0] == 4
+    assert deim_select(v)[0] == 4
 
 
 def test_deim_tie_breaks_to_lowest_index():
     v = np.array([[0.5], [0.5], [0.5]])
-    assert deim_select(v).indices[0] == 0
+    assert deim_select(v)[0] == 0
 
 
 def test_deim_rejects_zero_column():
     with pytest.raises(RankDeficiencyError):
         deim_select(np.zeros((4, 1)))
+
+
+# sigma_min / sigma_max = 3e-18: columns 1-3 agree to 1e-8 and column 4 is
+# about 47 times them, so in roundoff the step-3 pivot lands on row 4, the
+# row step 1 chose
+REPEATED_PIVOT_BASIS = np.array([
+    [-0.022262447959729297, -0.0222624497958129, -0.02226244924848476,
+     -1.04936246475185],
+    [0.8403107799785863, 0.8403107812644095, 0.8403107798134118,
+     39.608895470209376],
+    [1.1447684162925553, 1.1447684109914198, 1.144768413397962,
+     53.95981666588372],
+    [0.3576472049006299, 0.3576472066741008, 0.35764720730122523,
+     16.85806238679922],
+    [1.033561592951927, 1.0335616005912553, 1.0335616029210197,
+     48.71797038085002],
+])
+
+
+@pytest.mark.parametrize("select", [
+    deim_select, lambda v: ldeim_select(v, 5), lambda v: select_indices(v, 4),
+], ids=["deim", "ldeim", "select_indices"])
+def test_a_repeated_pivot_is_a_rank_refusal(select):
+    with pytest.raises(RankDeficiencyError, match="zero pivot at L-DEIM step 3"):
+        select(REPEATED_PIVOT_BASIS)
+
+
+def near_dependent_basis(seed, m, kinds):
+    """Columns of three kinds: "near" is the previous column plus
+    10^U(-12,-2) noise, "combo" a combination of the earlier columns with
+    coefficients up to 1e8 plus 10^U(-14,-4) noise, "fresh" Gaussian."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for kind in kinds:
+        if kind == "near" and cols:
+            col = cols[-1] + 10.0 ** rng.uniform(-12, -2) * rng.standard_normal(m)
+        elif kind == "combo" and cols:
+            col = (np.column_stack(cols) @ rng.uniform(-1e8, 1e8, len(cols))
+                   + 10.0 ** rng.uniform(-14, -4) * rng.standard_normal(m))
+        else:
+            col = rng.standard_normal(m)
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["near", "combo", "fresh"]),
+                      min_size=1, max_size=10),
+       extra=st.integers(0, 8), extend=st.integers(0, 8))
+# a basis on which the pivot loop lands on a chosen row in roundoff
+@example(seed=3492185092, kinds=["near", "near", "combo"], extra=3, extend=1)
+@settings(max_examples=200, deadline=None)
+def test_ldeim_on_near_dependent_bases_never_repeats_an_index(seed, kinds,
+                                                              extra, extend):
+    khat = len(kinds)
+    k = khat + min(extend, extra)
+    v = near_dependent_basis(seed, khat + extra, kinds)
+    try:
+        idx = ldeim_select(v, k)
+    except RankDeficiencyError:
+        return
+    assert idx.dtype == np.intp
+    assert len(set(idx.tolist())) == k
 
 
 @pytest.mark.parametrize("select, message", [
@@ -241,11 +298,11 @@ def test_ldeim_rejects_bad_ranks():
 
 def test_select_indices_reads_leading_columns():
     v = random_basis(8, 20, 6)
-    assert np.array_equal(select_indices(v, 4), deim_select(v[:, :4]).indices)
+    assert np.array_equal(select_indices(v, 4), deim_select(v[:, :4]))
     assert np.array_equal(select_indices(v, 6, khat=3),
-                          ldeim_select(v[:, :3], 6).indices)
+                          ldeim_select(v[:, :3], 6))
     assert np.array_equal(select_indices(v, 8, khat=5),
-                          ldeim_select(v[:, :5], 8).indices)
+                          ldeim_select(v[:, :5], 8))
 
 
 def test_select_indices_rejects_rank_above_basis_width():
@@ -268,7 +325,7 @@ def test_select_indices_refuses_non_finite_columns_it_reads(bad):
         select_indices(v, 6, khat=3)
     # L-DEIM at khat = 2 reads columns 0 and 1 only
     assert np.array_equal(select_indices(v, 6, khat=2),
-                          ldeim_select(v[:, :2], 6).indices)
+                          ldeim_select(v[:, :2], 6))
 
 
 @pytest.mark.parametrize("basis", [[[1, 0], [0, 1], [0.5, 0.5]], np.ones(3)],
