@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from .cur import deim_cur
 from .gcur import gcur_from_factors, r_deim_gcur, r_ldeim_gcur
 from .gsvd import gsvd
+from .linalg import two_norm
 from .rsvd_cur import r_ldeim_rsvd_cur, rsvd_cur
 from .selection import default_khat
 from .sketch import SketchConfig, split_seed
@@ -52,7 +51,7 @@ def exp1_sweep(m, n, epsilon, ks, seeds, oversampling=5,
     rows = []
     for seed in seeds:
         a, e, a_e = exp1_instance(m, n, epsilon, seed)
-        norm_a = np.linalg.norm(a, 2)
+        norm_a = two_norm(a)
         factors = None
         gsvd_ms = 0.0
         if "gcur" in methods:
@@ -76,7 +75,7 @@ def exp1_sweep(m, n, epsilon, ks, seeds, oversampling=5,
                     approx = fac.reconstruct(a_e)
                 else:
                     approx = fac.reconstruct_a(a_e)
-                err = np.linalg.norm(a - approx, 2) / norm_a
+                err = two_norm(a - approx) / norm_a
                 rows.append({
                     "experiment": "exp1", "m": m, "n": n, "eps": epsilon,
                     "k": k, "method": method, "seed": seed,
@@ -101,14 +100,14 @@ def exp4_run(ell, d, m, k, epsilon, oversampling, seeds, khats=None):
     rows = []
     for seed in seeds:
         a, a_e, b, g = exp4_instance(ell, d, m, epsilon, seed)
-        norm_a = np.linalg.norm(a, 2)
+        norm_a = two_norm(a)
         runs = [("deim-rsvd-cur", k, 0, rsvd_cur, k)] + [
             ("r-ldeim-rsvd-cur", khat, oversampling, r_ldeim_rsvd_cur,
              SketchConfig(k, oversampling, ldeim_budget=khat, seed=seed))
             for khat in khats]
         for method, khat, p, decompose, rank_or_cfg in runs:
             fac, ms = _timed(decompose, a_e, b, g, rank_or_cfg)
-            err = np.linalg.norm(a - fac.reconstruct_a(a_e), 2) / norm_a
+            err = two_norm(a - fac.reconstruct_a(a_e)) / norm_a
             rows.append({
                 "experiment": "exp4", "l": ell, "d": d, "m": m, "eps": epsilon,
                 "k": k, "khat": khat, "p": p, "method": method,

@@ -27,6 +27,7 @@ import warnings
 import numpy as np
 
 from .linalg import (
+    DimensionError,
     RankDeficiencyError,
     as_index_list,
     as_matrix,
@@ -127,10 +128,18 @@ def gcur_from_factors(a, b, factors: GsvdFactors, k, khat=None):
 
     Warns when a generalized-value ratio gamma/beta among the pairs the
     selection reads falls below ``RATIO_WARN_TOL``.  A, B and the factor
-    columns the selection reads are validated.
+    columns the selection reads are validated, and factors of another pair
+    (U with other than m rows, V other than d, Y other than n, or B other
+    than n columns) raise ``DimensionError``.
     """
-    return _gcur_from_factors(as_matrix(a, "A"), as_matrix(b, "B"), factors,
-                              k, khat)
+    a, b = as_matrix(a, "A"), as_matrix(b, "B")
+    u, v, y = factors.u, factors.v, factors.y
+    (m, n), d = a.shape, b.shape[0]
+    if (u.shape[0], v.shape[0], y.shape[0], b.shape[1]) != (m, d, n, n):
+        raise DimensionError(
+            f"GSVD factors U {u.shape}, V {v.shape}, Y {y.shape} do not fit "
+            f"A {a.shape} and B {b.shape}")
+    return _gcur_from_factors(a, b, factors, k, khat)
 
 
 def _gcur_from_factors(a, b, factors, k, khat=None):

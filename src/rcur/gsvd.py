@@ -106,16 +106,11 @@ def _cs_gsvd(a, b, cols=None):
     (``linalg.stack_rank_deficient``): a numerically singular one raises
     ``RankDeficiencyError``.
 
-    Both inputs must be 2-d float arrays with finite entries: every caller
-    has validated or computed them, so they are not scanned again here.
+    Both inputs must be 2-d float arrays with finite entries and one column
+    count: every caller has validated or computed them, so they are not
+    checked again here.
     """
     n = a.shape[1]
-    if b.shape[1] != n:
-        raise DimensionError(
-            f"pair must share a column count, got {a.shape} and {b.shape}"
-        )
-    if a.shape[0] + b.shape[0] < n:
-        raise DimensionError("stacked pair has fewer rows than columns")
     d, ra = b.shape[0], a.shape[0]
     q, r = qr_stack([b, a])
     if stack_rank_deficient(q, r):
@@ -186,8 +181,15 @@ def gsvd(a, b):
     return _gsvd(as_matrix(a, "A"), as_matrix(b, "B"))
 
 
+def _check_columns(a, b):
+    if b.shape[1] != a.shape[1]:
+        raise DimensionError(
+            f"pair must share a column count, got {a.shape} and {b.shape}")
+
+
 def _gsvd(a, b):
     """``gsvd`` on validated inputs."""
+    _check_columns(a, b)
     n = a.shape[1]
     if a.shape[0] < n or b.shape[0] < n:
         raise DimensionError(
@@ -212,6 +214,7 @@ def randomized_gsvd(a, b, cfg: SketchConfig):
 def _randomized_gsvd(a, b, cfg: SketchConfig, cols=None):
     """``randomized_gsvd`` on validated inputs, forming the leading ``cols``
     columns of each factor (``_cs_gsvd``), or all of them when None."""
+    _check_columns(a, b)
     if b.shape[0] < a.shape[1]:
         raise DimensionError(f"randomized gsvd needs B to have at least "
                              f"{a.shape[1]} rows, got {b.shape}")

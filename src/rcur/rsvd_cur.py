@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, select_columns, select_rows, two_norm
+from .linalg import DimensionError, select_columns, select_rows, two_norm
 from .gcur import _middle_matrix, sketch_tail_bound
 from .rsvd import RsvdFactors, _check_triplet, _rsvd
 from .selection import deim_growth_bound, select_indices
@@ -78,13 +78,27 @@ def _carrying_columns(u):
     return u[:, ~(norms <= 0.5)]
 
 
+def _check_fit(a, b, g, factors):
+    """``_check_triplet``, then refuse factors of another triplet: Z needs m
+    rows, U l, V d and W n."""
+    a, b, g = _check_triplet(a, b, g)
+    z, u, v, w = factors.z, factors.u, factors.v, factors.w
+    rows = (a.shape[0], b.shape[1], g.shape[0], a.shape[1])
+    if tuple(f.shape[0] for f in (z, u, v, w)) != rows:
+        raise DimensionError(
+            f"RSVD factors Z {z.shape}, U {u.shape}, V {v.shape}, W {w.shape} "
+            f"do not fit A {a.shape}, B {b.shape} and G {g.shape}")
+    return a, b, g
+
+
 def rsvd_cur_from_factors(a, b, g, factors: RsvdFactors, k, khat=None):
     """Select indices from RSVD factors (W -> p, Z -> s, U -> p_B, V -> s_G).
 
-    A, B, G and the factor columns the selection reads are validated.
+    A, B, G and the factor columns the selection reads are validated, and
+    factors of another triplet raise ``DimensionError`` (``_check_fit``).
     """
-    return _rsvd_cur_from_factors(as_matrix(a, "A"), as_matrix(b, "B"),
-                                  as_matrix(g, "G"), factors, k, khat)
+    return _rsvd_cur_from_factors(*_check_fit(a, b, g, factors), factors, k,
+                                  khat)
 
 
 def _rsvd_cur_from_factors(a, b, g, factors, k, khat=None):
@@ -128,11 +142,10 @@ def rsvdcur_bound(a, b, g, factors: RsvdFactors, k, khat, p):
     """Evaluate the probabilistic error bounds of a randomized RSVD-CUR run.
 
     Uses the QR partitions of the RSVD factors W and Z and the spectral
-    tails of B and G.  Diagnostic only; costs full SVDs of B and G.
+    tails of B and G.  Diagnostic only; costs full SVDs of B and G.  The
+    factors must fit the triplet (``_check_fit``).
     """
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    g = as_matrix(g, "G")
+    a, b, g = _check_fit(a, b, g, factors)
     m, n = a.shape
     ell, d = b.shape[1], g.shape[0]
 

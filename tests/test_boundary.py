@@ -4,7 +4,9 @@ Every public entry point validates the matrices it receives (a NaN is a
 ``ValueError``), each of them once, and ``SketchConfig.width`` alone sets
 every sketch width, which ``range_finder`` caps at min(rows, cols) of the
 matrix it sketches.  The ``widths`` fixture (conftest) records every
-Gaussian draw and the ``scans`` fixture every ``as_matrix`` call.
+Gaussian draw and the ``scans`` fixture every ``as_matrix`` call.  Shapes
+that do not fit together, factors of another pair or triplet among them,
+raise ``DimensionError`` before any work.
 """
 import numpy as np
 import pytest
@@ -19,13 +21,14 @@ from rcur.gcur import (
     r_ldeim_gcur,
 )
 from rcur.gsvd import gsvd, randomized_gsvd
-from rcur.linalg import relative_error
+from rcur.linalg import DimensionError, relative_error
 from rcur.rsvd import randomized_rsvd, rsvd_deterministic
 from rcur.rsvd_cur import (
     RsvdCurFactors,
     r_ldeim_rsvd_cur,
     rsvd_cur,
     rsvd_cur_from_factors,
+    rsvdcur_bound,
 )
 from rcur.selection import deim_select, ldeim_select
 from rcur.sketch import SketchConfig, range_finder
@@ -141,3 +144,38 @@ def test_no_sketch_is_wider_than_the_matrix_it_compresses(widths):
     widths.clear()
     randomized_rsvd(TA, TB, TG, wide)
     assert widths == [TA.shape[0]]
+
+
+def test_gcur_from_factors_refuses_factors_of_another_pair():
+    # unchecked, a foreign GSVD yields indices of its own pair at k = 3 and
+    # an IndexError at k = 8
+    rng = np.random.default_rng(1)
+    other = gsvd(rng.standard_normal((50, 15)), rng.standard_normal((30, 15)))
+    for k in (3, 8):
+        with pytest.raises(DimensionError,
+                           match=r"U \(50, 15\).*A \(40, 12\)"):
+            gcur_from_factors(A, B, other, k)
+    with pytest.raises(DimensionError, match=r"B \(20, 13\)"):
+        gcur_from_factors(A, np.ones((20, 13)), gsvd(A, B), 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda b, factors: rsvd_cur_from_factors(TA, b, TG, factors, 2),
+    lambda b, factors: rsvdcur_bound(TA, b, TG, factors, 2, 2, 2),
+], ids=["rsvd_cur_from_factors", "rsvdcur_bound"])
+def test_triplet_entry_points_refuse_factors_of_another_triplet(call):
+    rng = np.random.default_rng(1)
+    other = rsvd_deterministic(*(rng.standard_normal(s)
+                                 for s in ((12, 9), (12, 30), (20, 9))))
+    with pytest.raises(DimensionError, match=r"Z \(12, 12\).*A \(10, 8\)"):
+        call(TB, other)
+    # a B with fewer rows than A is no triplet, whatever the factors
+    with pytest.raises(DimensionError, match="triplet shapes incompatible"):
+        call(TB[:9], rsvd_deterministic(TA, TB, TG))
+
+
+def test_randomized_pair_refuses_a_column_mismatch_before_sketching(widths):
+    for fn in (randomized_gsvd, r_deim_gcur, r_ldeim_gcur):
+        with pytest.raises(DimensionError, match=r"\(40, 12\) and \(20, 13\)"):
+            fn(A, np.ones((20, 13)), CFG)
+    assert widths == []

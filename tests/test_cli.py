@@ -12,6 +12,7 @@ import scipy.io
 import rcur
 from rcur.bench import exp1_instance, exp1_sweep, exp4_instance, exp4_run
 from rcur.cli import run
+from rcur.cur import deim_cur
 from rcur.gsvd import gsvd
 from rcur.io import read_matrix, write_csv, write_matrix
 from rcur.synth import subgroup_data
@@ -338,7 +339,7 @@ def test_complex_matrix_exits_one(tmp_path, capsys):
     pa = tmp_path / "a.mtx"
     scipy.io.mmwrite(pa, a)
     with pytest.raises(ValueError, match="must be real"):
-        rcur.deim_cur(scipy.io.mmread(pa), 3)
+        deim_cur(scipy.io.mmread(pa), 3)
     report = tmp_path / "cur.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

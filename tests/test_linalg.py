@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import os
 from pathlib import Path
 import subprocess
@@ -335,8 +336,11 @@ def test_complete_orthonormal_keeps_leading_block():
     assert np.allclose(full.T @ full, np.eye(9), atol=1e-12)
 
 
-@pytest.mark.parametrize("module", ["linalg", "gsvd", "gcur", "cur", "selection",
-                                    "sketch", "rsvd", "rsvd_cur", "synth"])
+KERNELS = ["linalg", "gsvd", "gcur", "cur", "selection", "sketch", "rsvd",
+           "rsvd_cur", "synth"]
+
+
+@pytest.mark.parametrize("module", KERNELS)
 def test_kernel_modules_import_no_scipy(module):
     # NumPy and SciPy may each bundle their own OpenBLAS; a kernel that calls
     # into SciPy's makes the two thread pools contend for the same cores.
@@ -349,23 +353,37 @@ def test_kernel_modules_import_no_scipy(module):
     assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
 
-def test_package_import_loads_no_scipy():
-    # only rcur.io needs SciPy, and the package does not import it
-    code = ("import sys, rcur; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+def _fresh_interpreter(code):
+    """JSON printed by ``code`` in a new interpreter importing this rcur."""
     src = str(Path(rcur.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout)
+
+
+def test_package_import_loads_no_scipy():
+    # only rcur.io needs SciPy: the kernel modules, loaded together, import
+    # none of it
+    imports = "; ".join(f"import rcur.{name}" for name in KERNELS)
+    assert _fresh_interpreter(
+        f"import json, sys; {imports}; print(json.dumps("
+        "[m for m in sys.modules if m.split('.')[0] == 'scipy']))") == []
+
+
+def test_package_import_binds_nothing():
+    # every public name has one import path, the module that defines it
+    assert _fresh_interpreter(
+        "import json, sys, rcur; print(json.dumps("
+        "[[n for n in vars(rcur) if not n.startswith('__')], "
+        "[m for m in sys.modules if m.startswith('rcur.')]]))") == [[], []]
 
 
 @pytest.mark.parametrize("name", ["gsvd", "rsvd_cur"])
 def test_submodule_import_binds_the_module(name):
     # "import rcur.gsvd as m" binds the package attribute rcur.gsvd, which a
-    # re-exported function of the same name would shadow
+    # package-level function of the same name would shadow
     module = importlib.import_module(f"rcur.{name}")
     assert getattr(rcur, name) is module
     assert callable(getattr(module, name))
-    assert name not in rcur.__all__
