@@ -13,6 +13,7 @@ outside the clock.
 """
 from __future__ import annotations
 
+import functools
 import time
 
 from .cur import deim_cur
@@ -41,41 +42,49 @@ def _timed(fn, *args, **kwargs):
     return out, (time.perf_counter() - t0) * 1e3
 
 
+def _gcur(a_e, e, k, oversampling, seed, shared_gsvd):
+    factors, gsvd_ms = shared_gsvd()
+    fac, ms = _timed(gcur_from_factors, a_e, e, factors, k)
+    return fac, ms + gsvd_ms
+
+
+def _sketched(decompose):
+    """A randomized method, its ``SketchConfig`` built before the clock starts."""
+    return lambda a_e, e, k, oversampling, seed, shared_gsvd: _timed(
+        decompose, a_e, e, SketchConfig(k, oversampling, seed=seed))
+
+
+# exp1_sweep's methods, in their default order: each maps the seed's A_E and
+# E, k, p, the seed and the seed's shared GSVD to a row's factors and time
+EXP1_METHODS = {
+    "cur": lambda a_e, e, k, oversampling, seed, shared_gsvd: _timed(
+        deim_cur, a_e, k),
+    "gcur": _gcur,
+    "r-deim-gcur": _sketched(r_deim_gcur),
+    "r-ldeim-gcur": _sketched(r_ldeim_gcur),
+}
+
+
 def exp1_sweep(m, n, epsilon, ks, seeds, oversampling=5,
-               methods=("cur", "gcur", "r-deim-gcur", "r-ldeim-gcur")):
+               methods=tuple(EXP1_METHODS)):
     """Error/timing rows for each (k, method, seed) on the exp1 generator.
 
-    The deterministic GSVD is computed once per seed and shared across the
-    k sweep; randomized runs re-sketch per k since the width depends on it.
-    """
+    The deterministic GSVD is computed once per seed and charged to each of
+    its gcur rows; randomized runs re-sketch per k since the width depends
+    on it.  An unknown method is refused before any work."""
+    for method in methods:
+        if method not in EXP1_METHODS:
+            raise ValueError(f"unknown method {method!r}")
     rows = []
     for seed in seeds:
         a, e, a_e = exp1_instance(m, n, epsilon, seed)
         norm_a = two_norm(a)
-        factors = None
-        gsvd_ms = 0.0
-        if "gcur" in methods:
-            factors, gsvd_ms = _timed(gsvd, a_e, e)
+        shared_gsvd = functools.cache(functools.partial(_timed, gsvd, a_e, e))
         for k in ks:
             for method in methods:
-                if method == "cur":
-                    fac, ms = _timed(deim_cur, a_e, k)
-                elif method == "gcur":
-                    fac, ms = _timed(gcur_from_factors, a_e, e, factors, k)
-                    ms += gsvd_ms
-                elif method == "r-deim-gcur":
-                    cfg = SketchConfig(k, oversampling, seed=seed)
-                    fac, ms = _timed(r_deim_gcur, a_e, e, cfg)
-                elif method == "r-ldeim-gcur":
-                    cfg = SketchConfig(k, oversampling, seed=seed)
-                    fac, ms = _timed(r_ldeim_gcur, a_e, e, cfg)
-                else:
-                    raise ValueError(f"unknown method {method!r}")
-                if method == "cur":
-                    approx = fac.reconstruct(a_e)
-                else:
-                    approx = fac.reconstruct_a(a_e)
-                err = two_norm(a - approx) / norm_a
+                fac, ms = EXP1_METHODS[method](a_e, e, k, oversampling, seed,
+                                               shared_gsvd)
+                err = two_norm(a - fac.reconstruct_a(a_e)) / norm_a
                 rows.append({
                     "experiment": "exp1", "m": m, "n": n, "eps": epsilon,
                     "k": k, "method": method, "seed": seed,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bench
 from .cur import deim_cur
-from .gcur import gcur_deterministic, gcur_error, r_ldeim_gcur
+from .gcur import gcur_deterministic, r_ldeim_gcur
 from .gsvd import gsvd, randomized_gsvd
 from .io import read_csv, read_matrix, write_matrix
 from .linalg import relative_error
@@ -92,12 +92,13 @@ def _factor_files(args):
     rows = [{col: float(x) for col, x in zip(vals, xs)}
             for xs in zip(*vals.values())]
     _write_report(f"{args.out_prefix}_vals.csv", rows)
-    return 0
 
 
 def _report_row(args):
     """``cur``/``gcur``/``rsvd-cur``: decompose the inputs, timing only the
-    library call, and write the one-row report."""
+    library call, and write the one-row report.  Each input x has the error
+    column ``err_x``, its relative error against ``fac.reconstruct_x``;
+    ``cur`` factors A alone, so its ``err_b`` stays empty."""
     mats = _read_inputs(args)
     cfg, khat = _selection(args)
     t0 = time.perf_counter()
@@ -107,44 +108,38 @@ def _report_row(args):
     row = {
         "method": args.method, "k": args.k, "khat": khat,
         "p": "" if cfg is None else args.oversampling,
-        "seed": "" if cfg is None else args.seed,
-        **args.errors(fac, *mats), "wall_ms": wall_ms,
+        "seed": "" if cfg is None else args.seed, "err_a": "", "err_b": "",
     }
+    for name, x in zip(args.inputs, mats):
+        row[f"err_{name}"] = relative_error(
+            x, getattr(fac, f"reconstruct_{name}")(x))
+    row["wall_ms"] = wall_ms
     for name in args.indices:
         row[f"indices_{name}"] = ";".join(map(str, getattr(fac, name)))
     _write_report(args.report, [row])
-    return 0
+
+
+# rcur synth's kinds: each maps the parsed flags to the named matrices
+# the command writes, one ``{prefix}_{name}.mtx`` each
+SYNTH_KINDS = {
+    "sparse-lowrank": lambda a: {
+        "A": sparse_lowrank(a.m, a.n, density=a.density, seed=a.seed)},
+    "toeplitz-pair": lambda a: dict(zip(
+        ("A", "E", "AE"), bench.exp1_instance(a.m, a.n, a.eps, a.seed))),
+    "bfg-triplet": lambda a: dict(zip(
+        ("A", "AE", "B", "G"),
+        bench.exp4_instance(a.l, a.d, a.m, a.eps, a.seed))),
+    "subgroup": lambda a: dict(zip(
+        ("target", "background"), subgroup_data(a.m, a.d, seed=a.seed))),
+}
 
 
 def _cmd_synth(args):
-    if args.kind == "sparse-lowrank":
-        named = {"A": sparse_lowrank(args.m, args.n, density=args.density,
-                                     seed=args.seed)}
-    elif args.kind == "toeplitz-pair":
-        named = dict(zip(("A", "E", "AE"), bench.exp1_instance(
-            args.m, args.n, args.eps, args.seed)))
-    elif args.kind == "bfg-triplet":
-        named = dict(zip(("A", "AE", "B", "G"), bench.exp4_instance(
-            args.l, args.d, args.m, args.eps, args.seed)))
-    else:  # subgroup
-        named = dict(zip(("target", "background"),
-                         subgroup_data(args.m, args.d, seed=args.seed)))
-    _write_matrices(args.out_prefix, named)
-    return 0
+    _write_matrices(args.out_prefix, SYNTH_KINDS[args.kind](args))
 
 
 def _cmd_bench(args):
-    if args.experiment == "exp1":
-        ks = list(range(args.kstep, args.kmax + 1, args.kstep))
-        rows = bench.exp1_sweep(args.m, args.n, args.eps, ks,
-                                seeds=list(range(args.seeds)),
-                                oversampling=args.oversampling)
-    else:
-        rows = bench.exp4_run(args.l, args.d, args.m, args.k, args.eps,
-                              args.oversampling,
-                              seeds=list(range(args.seeds)))
-    _write_report(args.out, rows)
-    return 0
+    _write_report(args.out, args.rows(args))
 
 
 def _build_parser():
@@ -197,41 +192,29 @@ def _build_parser():
                    vals=lambda f: {"alpha": f.alpha, "beta": f.beta,
                                    "gamma": f.gamma})
 
-    # report commands: entry points, error columns and index fields.
+    # report commands: entry points and index fields.
     # deim_cur never sketches, so cur takes no sketch flags and its p, seed
     # and err_b columns stay empty
     p = add_command("cur", "DEIM-type CUR of a single matrix", ("a",),
                     "--report")
     add_rank_flags(p, k_required=True)
     p.set_defaults(func=_report_row, randomized=False, det=deim_cur,
-                   indices=("p", "s"),
-                   errors=lambda fac, a: {
-                       "err_a": relative_error(a, fac.reconstruct(a)),
-                       "err_b": ""})
+                   indices=("p", "s"))
 
     p = add_command("gcur", "generalized CUR of a pair", ("a", "b"),
                     "--report")
     add_rand_flags(p, k_required=True)
     p.set_defaults(func=_report_row, det=gcur_deterministic, rand=r_ldeim_gcur,
-                   indices=("p", "s_a", "s_b"),
-                   errors=lambda fac, a, b: {
-                       "err_a": gcur_error(a, fac),
-                       "err_b": relative_error(b, fac.reconstruct_b(b))})
+                   indices=("p", "s_a", "s_b"))
 
     p = add_command("rsvd-cur", "RSVD-CUR of a triplet", ("a", "b", "g"),
                     "--report")
     add_rand_flags(p, k_required=True)
     p.set_defaults(func=_report_row, det=rsvd_cur, rand=r_ldeim_rsvd_cur,
-                   indices=("p", "p_b", "s", "s_g"),
-                   errors=lambda fac, a, b, g: {
-                       "err_a": relative_error(a, fac.reconstruct_a(a)),
-                       "err_b": relative_error(b, fac.reconstruct_b(b)),
-                       "err_g": relative_error(g, fac.reconstruct_g(g))})
+                   indices=("p", "p_b", "s", "s_g"))
 
     p = sub.add_parser("synth", help="write synthetic benchmark matrices")
-    p.add_argument("--kind", required=True,
-                   choices=["sparse-lowrank", "toeplitz-pair", "bfg-triplet",
-                            "subgroup"])
+    p.add_argument("--kind", required=True, choices=list(SYNTH_KINDS))
     p.add_argument("--m", type=int, default=1000)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--l", type=int, default=0)
@@ -255,7 +238,9 @@ def _build_parser():
     p1.add_argument("-p", "--oversampling", type=int, default=5,
                     dest="oversampling")
     p1.add_argument("--out", required=True)
-    p1.set_defaults(func=_cmd_bench)
+    p1.set_defaults(func=_cmd_bench, rows=lambda a: bench.exp1_sweep(
+        a.m, a.n, a.eps, list(range(a.kstep, a.kmax + 1, a.kstep)),
+        seeds=list(range(a.seeds)), oversampling=a.oversampling))
 
     p4 = bsub.add_parser("exp4", help="triplet recovery under BFG noise")
     p4.add_argument("--l", type=int, required=True)
@@ -267,7 +252,8 @@ def _build_parser():
     p4.add_argument("-p", "--oversampling", type=int, required=True,
                     dest="oversampling")
     p4.add_argument("--out", required=True)
-    p4.set_defaults(func=_cmd_bench)
+    p4.set_defaults(func=_cmd_bench, rows=lambda a: bench.exp4_run(
+        a.l, a.d, a.m, a.k, a.eps, a.oversampling, seeds=list(range(a.seeds))))
 
     return parser
 
@@ -281,10 +267,11 @@ def run(argv=None):
     if getattr(args, "khat", None) is not None and args.method != "ldeim":
         parser.error(f"{args.command}: --khat requires --method ldeim")
     try:
-        return args.func(args)
+        args.func(args)
     except (np.linalg.LinAlgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main():

@@ -19,7 +19,7 @@ class CurFactors:
     m: np.ndarray
     k: int
 
-    def reconstruct(self, a):
+    def reconstruct_a(self, a):
         return select_columns(a, self.p) @ self.m @ select_rows(a, self.s)
 
 

@@ -189,7 +189,7 @@ def sketch_tail_bound(singular_values, k, p):
     s = np.asarray(singular_values, dtype=float)
     tail = s[k:] if k < len(s) else np.array([0.0])
     logp = np.log(p) if p >= 1 else 0.0
-    lead = (1.0 + 6.0 * np.sqrt((k + p) * p * logp)) * (tail[0] if tail.size else 0.0)
+    lead = (1.0 + 6.0 * np.sqrt((k + p) * p * logp)) * tail[0]
     return lead + 3.0 * np.sqrt(k + p) * np.sqrt(np.sum(tail**2))
 
 

@@ -124,12 +124,15 @@ def default_khat(k):
 
 
 def check_rank(k, khat=None):
-    """Refuse a target rank k < 1, or an L-DEIM budget khat outside 1..k."""
-    if k < 1:
-        raise ValueError(f"target rank k must be >= 1, got {k}")
-    if khat is not None and not 1 <= khat <= k:
-        raise ValueError(f"L-DEIM budget must satisfy 1 <= khat <= k={k}, "
-                         f"got {khat}")
+    """Refuse a target rank k that is not an integer >= 1, or an L-DEIM
+    budget khat that is not an integer in 1..k; a bool is no integer here.
+    """
+    if not np.issubdtype(type(k), np.integer) or k < 1:
+        raise ValueError(f"target rank k must be an integer >= 1, got {k!r}")
+    if khat is not None and not (np.issubdtype(type(khat), np.integer)
+                                 and 1 <= khat <= k):
+        raise ValueError(f"L-DEIM budget must be an integer with "
+                         f"1 <= khat <= k={k}, got {khat!r}")
 
 
 def leading_columns(k, khat=None):

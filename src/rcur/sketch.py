@@ -30,8 +30,10 @@ class SketchConfig:
 
     def __post_init__(self):
         check_rank(self.target_rank, self.ldeim_budget)
-        if self.oversampling < 0:
-            raise ValueError("oversampling must be >= 0")
+        if (not np.issubdtype(type(self.oversampling), np.integer)
+                or self.oversampling < 0):
+            raise ValueError(f"oversampling must be an integer >= 0, "
+                             f"got {self.oversampling!r}")
         if self.ldeim_budget is None:
             object.__setattr__(self, "ldeim_budget",
                                default_khat(self.target_rank))

@@ -83,8 +83,6 @@ def bfg_perturb(a, ell, d, epsilon, seed=0):
     b = np.random.Generator(np.random.Philox(s1)).standard_normal((m, ell))
     f = np.random.Generator(np.random.Philox(s2)).standard_normal((ell, d))
     g = np.random.Generator(np.random.Philox(s3)).standard_normal((d, n))
-    if epsilon == 0.0:
-        return a.copy(), b, g
     noise = b @ f @ g
     a_e = a + epsilon * (two_norm(a) / two_norm(noise)) * noise
     return a_e, b, g

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+import rcur.bench
 from rcur.bench import exp1_instance, exp1_sweep, exp4_instance, exp4_run
 
 
@@ -43,6 +45,19 @@ def test_exp1_gcur_reuses_shared_factorization():
     rows = exp1_sweep(120, 30, 0.1, ks=[2, 4], seeds=[0], methods=("gcur",))
     assert len(rows) == 2
     assert all(r["wall_ms"] > 0 for r in rows)
+
+
+@pytest.mark.parametrize("ks,seeds", [([2], [0]), ([], [0]), ([2], [])],
+                         ids=["sweep", "no-ks", "no-seeds"])
+def test_exp1_sweep_refuses_an_unknown_method_before_any_work(monkeypatch,
+                                                               ks, seeds):
+    # refused even where the sweep would run nothing, before any instance
+    def no_instance(*args):
+        raise AssertionError("exp1_instance ran")
+
+    monkeypatch.setattr(rcur.bench, "exp1_instance", no_instance)
+    with pytest.raises(ValueError, match="unknown method 'typo'"):
+        exp1_sweep(50, 10, 0.1, ks, seeds, methods=("cur", "typo"))
 
 
 def test_exp4_instance_shapes():

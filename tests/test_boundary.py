@@ -31,7 +31,8 @@ from rcur.rsvd_cur import (
     rsvdcur_bound,
 )
 from rcur.selection import deim_select, ldeim_select
-from rcur.sketch import SketchConfig, range_finder
+from rcur.sketch import SketchConfig, gaussian_matrix, range_finder
+from rcur.synth import subgroup_data, toeplitz_noise
 
 RNG = np.random.default_rng(0)
 # pair (A 40x12, B 20x12); triplet (A 10x8, B 10x30, G 20x8): l >= d >= m >= n
@@ -66,7 +67,7 @@ ENTRY_POINTS = {
     "deim_select": (deim_select, (A[:, :3],)),
     "ldeim_select": (ldeim_select, (A[:, :3], 4)),
     "relative_error": (relative_error, (A, A + 1.0)),
-    "CurFactors.reconstruct": (CUR.reconstruct, (A,)),
+    "CurFactors.reconstruct_a": (CUR.reconstruct_a, (A,)),
     "GcurFactors.reconstruct_a": (GCUR.reconstruct_a, (A,)),
     "GcurFactors.reconstruct_b": (GCUR.reconstruct_b, (B,)),
     "RsvdCurFactors.reconstruct_a": (RCUR.reconstruct_a, (TA,)),
@@ -179,3 +180,17 @@ def test_randomized_pair_refuses_a_column_mismatch_before_sketching(widths):
         with pytest.raises(DimensionError, match=r"\(40, 12\) and \(20, 13\)"):
             fn(A, np.ones((20, 13)), CFG)
     assert widths == []
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: ldeim_select(np.ones(5), 2), "2-dimensional"),
+    (lambda: gaussian_matrix(0, 3, 0), "rows, cols >= 1"),
+    (lambda: gaussian_matrix(3, 0, 0), "rows, cols >= 1"),
+    (lambda: toeplitz_noise(40, 12, -0.1, A), "epsilon must be >= 0"),
+    (lambda: subgroup_data(0, 5), "m, d must be >= 1"),
+    (lambda: subgroup_data(5, 0), "m, d must be >= 1"),
+], ids=["ldeim_select-1d", "gaussian_matrix-rows", "gaussian_matrix-cols",
+        "toeplitz_noise-eps", "subgroup_data-m", "subgroup_data-d"])
+def test_arguments_out_of_range_are_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

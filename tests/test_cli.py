@@ -332,6 +332,22 @@ def test_randomized_gsvd_of_a_short_b_exits_one(tmp_path, capsys):
     assert list(tmp_path.glob("o_*")) == []
 
 
+def test_gcur_of_dependent_columns_exits_one(tmp_path, capsys):
+    # at k = n every column is selected, so a repeated column makes C
+    # rank deficient: a typed rank refusal and no report
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((20, 8))
+    a[:, 5] = a[:, 2]
+    pa, pb = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    write_matrix(pa, a)
+    write_matrix(pb, rng.standard_normal((20, 8)))
+    report = tmp_path / "r.csv"
+    assert run(["gcur", "--a", str(pa), "--b", str(pb), "-k", "8",
+                "--report", str(report)]) == 1
+    assert "rank deficient" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_complex_matrix_exits_one(tmp_path, capsys):
     # casting would drop the imaginary part and report on the real part
     rng = np.random.default_rng(4)
@@ -499,3 +515,68 @@ def test_gsvd_ratio_column_is_the_factors_ratio(ci_inputs, tmp_path):
     ratio = gsvd(read_matrix(ci_inputs["ae"]), read_matrix(ci_inputs["e"])).ratio
     assert [row["ratio"] for row in read_report(f"{prefix}_vals.csv")] == [
         format(x, ".12g") for x in ratio]
+
+
+@pytest.fixture(scope="module")
+def toeplitz_pair(tmp_path_factory):
+    """File prefix of a 600x80 exp1 pair (seed 3) written by ``rcur synth``."""
+    prefix = str(tmp_path_factory.mktemp("tp") / "tp")
+    assert run(["synth", "--kind", "toeplitz-pair", "--m", "600", "--n", "80",
+                "--eps", "0.1", "--seed", "3", "--out-prefix", prefix]) == 0
+    return prefix
+
+
+def _columns(path, names):
+    rows = read_report(path)
+    return [np.array([float(row[name]) for row in rows]) for name in names]
+
+
+def test_gsvd_files_rebuild_the_pair(toeplitz_pair, tmp_path):
+    # the 600x80 A-block is tall: U comes from qr_stack and an 80x80 SVD.
+    # V = Q_B Z / beta is orthonormal only to about eps / beta_min^2
+    # (2.6e-10 here, beta_min 1.3e-3); _vals.csv holds 12 digits
+    a, b = (read_matrix(f"{toeplitz_pair}_{x}.mtx") for x in ("AE", "E"))
+    prefix = str(tmp_path / "g")
+    assert run(["gsvd", "--a", f"{toeplitz_pair}_AE.mtx",
+                "--b", f"{toeplitz_pair}_E.mtx", "--out-prefix", prefix]) == 0
+    u, v, y = (read_matrix(f"{prefix}_{x}.mtx") for x in "UVY")
+    gamma, beta = _columns(f"{prefix}_vals.csv", ("gamma", "beta"))
+    eye = np.eye(y.shape[0])
+    assert np.linalg.norm(u.T @ u - eye) <= 1e-10
+    assert np.linalg.norm(v.T @ v - eye) <= 1e-9
+    assert np.linalg.norm(u * gamma @ y.T - a) <= 1e-12 * np.linalg.norm(a)
+    assert np.linalg.norm(v * beta @ y.T - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_rsvd_files_rebuild_the_triplet(ci_inputs, tmp_path):
+    # U and V are completed to orthogonal matrices; A and G are reproduced
+    # to roundoff, B only to 3.3e-7 here, as U_1 is orthonormal only to
+    # about eps / beta_min^2 (the strict xfail
+    # test_b_reconstructed_to_roundoff_on_the_exp4_triplet records it)
+    a, b, g = (read_matrix(ci_inputs[x]) for x in ("t_ae", "t_b", "t_g"))
+    prefix = str(tmp_path / "r")
+    assert run(["rsvd", "--a", ci_inputs["t_ae"], "--b", ci_inputs["t_b"],
+                "--g", ci_inputs["t_g"], "--out-prefix", prefix]) == 0
+    z, w, u, v = (read_matrix(f"{prefix}_{x}.mtx") for x in "ZWUV")
+    alpha, beta, gamma = _columns(f"{prefix}_vals.csv",
+                                  ("alpha", "beta", "gamma"))
+    (m, n), norm = a.shape, np.linalg.norm
+    b_diag = np.concatenate([beta, np.ones(m - n)])
+    assert norm(u.T @ u - np.eye(u.shape[1])) <= 1e-10
+    assert norm(v.T @ v - np.eye(v.shape[1])) <= 1e-10
+    assert norm(z[:, :n] * alpha @ w.T - a) <= 1e-10 * norm(a)
+    assert norm(v[:, :n] * gamma @ w.T - g) <= 1e-10 * norm(g)
+    assert norm(z * b_diag @ u[:, :m].T - b) <= 1e-5 * norm(b)
+
+
+def test_ldeim_extends_a_narrow_sketch_to_k_indices(toeplitz_pair, tmp_path):
+    # khat + p = 5 < k: the GSVD forms 5 columns, which L-DEIM extends to
+    # 10 distinct indices on each side
+    report = tmp_path / "extend.csv"
+    assert run(["gcur", "--a", f"{toeplitz_pair}_AE.mtx",
+                "--b", f"{toeplitz_pair}_E.mtx", "-k", "10", "--method",
+                "ldeim", "--khat", "2", "-p", "3", "--randomized", "--seed",
+                "4", "--report", str(report)]) == 0
+    (row,) = read_report(report)
+    for name in ("p", "s_a", "s_b"):
+        assert len(set(row[f"indices_{name}"].split(";"))) == 10, name

@@ -423,11 +423,11 @@ def test_gcur_bound_requires_k_below_n():
 def test_deim_cur_exact_on_low_rank():
     a = lowrank(10, 30, 14, 4)
     fac = deim_cur(a, 4)
-    assert np.allclose(fac.reconstruct(a), a, atol=1e-8)
+    assert np.allclose(fac.reconstruct_a(a), a, atol=1e-8)
 
 
 def test_deim_cur_ldeim_variant():
     a = lowrank(11, 30, 14, 6)
     fac = deim_cur(a, 6, khat=3)
     assert len(fac.p) == 6
-    assert np.allclose(fac.reconstruct(a), a, atol=1e-7)
+    assert np.allclose(fac.reconstruct_a(a), a, atol=1e-7)

@@ -361,17 +361,23 @@ A, B = RNG.standard_normal((50, 20)), RNG.standard_normal((20, 20))
 TA, TB, TG = (RNG.standard_normal(s) for s in ((10, 8), (10, 30), (20, 8)))
 
 
-@pytest.mark.parametrize("k,khat", [(0, None), (-2, None), (3, 0)],
-                         ids=["k=0", "k=-2", "khat=0"])
+@pytest.mark.parametrize("k,khat", [
+    (0, None), (-2, None), (3, 0), (True, None), (3.0, None), (2.5, None),
+    (3, 1.5), (3, True),
+], ids=["k=0", "k=-2", "khat=0", "k=True", "k=3.0", "k=2.5", "khat=1.5",
+        "khat=True"])
 @pytest.mark.parametrize("call", [
     lambda *rank: deim_cur(A, *rank),
     lambda *rank: gcur_deterministic(A, B, *rank),
     lambda *rank: rsvd_cur(TA, TB, TG, *rank),
-], ids=["deim_cur", "gcur_deterministic", "rsvd_cur"])
+    lambda *rank: select_indices(A, *rank),
+], ids=["deim_cur", "gcur_deterministic", "rsvd_cur", "select_indices"])
 def test_bad_rank_or_budget_is_refused(call, k, khat):
-    # unchecked, k = -2 selects 18 indices, k = 0 fails with an IndexError
-    # and khat = 0 returns rows 0, 1, 2 whatever the data
-    with pytest.raises(ValueError, match=r"k must be >= 1|1 <= khat <= k"):
+    # unchecked, k = -2 selects 18 indices, k = 0 fails with an IndexError,
+    # khat = 0 returns rows 0, 1, 2 whatever the data, k = True gives a
+    # rank-1 CUR and a float k fails with an untyped TypeError
+    with pytest.raises(ValueError,
+                       match=r"k must be an integer >= 1|1 <= khat <= k"):
         call(k, khat)
 
 

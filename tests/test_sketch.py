@@ -21,6 +21,12 @@ def test_config_validation():
         SketchConfig(5, ldeim_budget=6)
     with pytest.raises(ValueError):
         SketchConfig(5, ldeim_budget=0)
+    # a rank, budget or oversampling that is not an integer, bool included
+    for args in ((4.5, 2), (4, 2, 1.5), (4, 2.5), (True, 2), (4, True),
+                 (4, 2, True)):
+        with pytest.raises(ValueError, match="integer"):
+            SketchConfig(*args)
+    assert SketchConfig(np.int64(4), np.int64(2), np.int64(3)).width() == 5
     # the width is the config's own budget plus p: ceil(k/2) + p by default
     for khat in (0, 6):
         with pytest.raises(ValueError, match="1 <= khat <= k"):

@@ -75,6 +75,15 @@ def test_bfg_perturb_scaling_identity():
     assert np.isclose(np.linalg.norm(a_e - a, 2), 0.2 * np.linalg.norm(a, 2))
 
 
+def test_bfg_perturb_at_zero_epsilon_returns_a():
+    # the general formula, no special case: B and G are eps's draws too
+    a = sparse_lowrank(30, 30, seed=2)
+    a_e, b, g = bfg_perturb(a, 60, 40, 0.0, seed=5)
+    _, b_eps, g_eps = bfg_perturb(a, 60, 40, 0.2, seed=5)
+    assert np.array_equal(a_e, a)
+    assert np.array_equal(b, b_eps) and np.array_equal(g, g_eps)
+
+
 def test_bfg_perturb_dimension_guard():
     a = np.zeros((10, 10))
     with pytest.raises(DimensionError):
