@@ -32,7 +32,7 @@ def exp1_instance(m, n, epsilon, seed):
     """Sparse low-rank signal A, Toeplitz noise E and the observed A_E."""
     gen_seed, noise_seed = split_seed(seed, 2)
     a = sparse_lowrank(m, n, seed=gen_seed)
-    e = toeplitz_noise(m, n, epsilon, a, seed=noise_seed)
+    e = toeplitz_noise(a, epsilon, seed=noise_seed)
     return a, e, a + e
 
 

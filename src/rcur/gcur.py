@@ -39,7 +39,8 @@ from .linalg import (
     two_norm,
 )
 from .gsvd import GsvdFactors, _gsvd, _randomized_gsvd
-from .selection import deim_growth_bound, leading_columns, select_indices
+from .selection import (check_rank, deim_growth_bound, leading_columns,
+                        select_indices)
 from .sketch import SketchConfig
 
 __all__ = [
@@ -85,8 +86,6 @@ class GcurBound:
     eta_k: float
     bound_a: float
     bound_b: float
-    k: int
-    p: int
 
 
 def _full_rank_qr(x, what):
@@ -172,7 +171,9 @@ def r_deim_gcur(a, b, cfg: SketchConfig):
 def r_ldeim_gcur(a, b, cfg: SketchConfig):
     """Randomized L-DEIM GCUR: a khat + p wide sketch, of which L-DEIM reads
     ``cfg.columns_read()`` = min(k, khat + p) columns and extends to k
-    indices.  The GSVD forms only those columns of U, V and Y."""
+    indices.  The GSVD forms only those columns of U, V and Y.  Y's column
+    scales follow B's, so the column indices past those read (the row-norm
+    extension) depend on the scale of B; the row indices do not."""
     a, b = as_matrix(a, "A"), as_matrix(b, "B")
     read = cfg.columns_read()
     factors = _randomized_gsvd(a, b, cfg, cols=read)
@@ -200,10 +201,9 @@ def gcur_bound(a, b, k, p):
     and generalized-singular-value terms; bound_b is the sketch-free B-side
     bound.  Offline diagnostic: costs a full SVD of A and a GSVD of (A, B).
     """
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    m, n = a.shape
-    d = b.shape[0]
+    check_rank(k)
+    a, b = as_matrix(a, "A"), as_matrix(b, "B")
+    (m, n), d = a.shape, b.shape[0]
     if k >= n:
         raise ValueError("bound needs k < n so the (k+1)th pair value exists")
     sa = np.linalg.svd(a, compute_uv=False)
@@ -219,4 +219,4 @@ def gcur_bound(a, b, k, p):
     eta_b = deim_growth_bound(n, k) + deim_growth_bound(d, k)
     bound_b = eta_b * norm_sum
     return GcurBound(theta_k=float(theta), eta_k=float(eta),
-                     bound_a=float(bound_a), bound_b=float(bound_b), k=k, p=p)
+                     bound_a=float(bound_a), bound_b=float(bound_b))

@@ -16,13 +16,15 @@ the randomized GCUR path asks the kernel for the leading r columns its
 selection reads, and Q_B Z is then formed for those r columns only.
 
 Sign convention: for each pair i the largest-magnitude entry of Y[:, i] is
-positive, and U[:, i] (where it exists) and V[:, i] flip with it, so both
-reconstructions are unchanged.  Y is the only factor with a column for
-every pair.  The factors then do not depend on the column signs a QR route
-or LAPACK happens to give, and neither does any sketch later drawn against
-them (the second RSVD stage sketches B^T U_1): the realization of a seeded
-run is fixed by the seed, not by the route.  DEIM indices and middle
-matrices do not depend on column signs at all.
+positive.  U[:, i] (where it exists) flips with it, and so does V[:, i] for
+each pair B carries, so both reconstructions hold; V's columns for the pairs
+B lacks (beta below BETA_ZERO_TOL) complete those and take no sign.  So
+neither the factors nor a sketch drawn against them (the second RSVD stage
+sketches B^T U_1) depend on the column signs a QR route or LAPACK gives.
+Only the beta = 0 block is canonicalized: inside any other cluster of equal
+values LAPACK picks the basis, so the U, V and Y columns of the gamma = 0
+pairs of a tall A of rank below n follow the QR route.  DEIM indices and
+middle matrices do not depend on column signs at all.
 """
 from __future__ import annotations
 
@@ -163,15 +165,15 @@ def _cs_gsvd(a, b, cols=None):
         # in a Householder QR, so its trailing columns are the complement
         # (d-by-n at most, never the d-by-d completion); beta stays
         # (numerically) zero there.  The complement does not depend on the
-        # good columns' signs.  When B has fewer rows than columns the
-        # complement runs out; the leftover columns are zeroed (they never
-        # enter a reconstruction).
+        # good columns' signs, so it is the same on every QR route and takes
+        # no sign from Y.  When B has fewer rows than columns it runs out;
+        # the leftover columns are zeroed (they never enter a reconstruction).
         good = ~small
         v[:, small] = 0.0
         fill = np.flatnonzero(small)[: max(d - int(good.sum()), 0)]
         if fill.size:
             padded = np.hstack([v[:, good], np.zeros((d, fill.size))])
-            v[:, fill] = qr_thin(padded)[0][:, -fill.size:] * sign[fill]
+            v[:, fill] = qr_thin(padded)[0][:, -fill.size:]
     return GsvdFactors(u=w[:, :keep], v=v[:, :keep], y=y[:, :keep],
                        gamma=gamma[:keep], beta=beta[:keep])
 

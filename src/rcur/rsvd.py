@@ -153,8 +153,8 @@ def randomized_rsvd(a, b, g, cfg: SketchConfig):
     The one sketch (``range_finder``) compresses the l-by-m product B^T U_1
     to ``cfg.width()`` = khat + p columns, raised to at least m - rank(A) + 1
     (rank(A) counts the first stage's A-side values above 1e-13) so the
-    reduced pair keeps full rank.  Its realization would follow U_1's column
-    signs; the GSVD sign convention fixes them, so the factors do not
-    depend on the QR route or the BLAS thread count.
+    reduced pair keeps full rank.  The GSVD sign convention fixes U_1's signs
+    and so the sketch; only Z's and U's columns past n (the m - n directions
+    A lacks: the second stage's gamma = 0 cluster) follow the QR route.
     """
     return _rsvd(*_check_triplet(a, b, g), cfg)

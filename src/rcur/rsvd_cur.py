@@ -19,7 +19,7 @@ import numpy as np
 from .linalg import DimensionError, select_columns, select_rows, two_norm
 from .gcur import _middle_matrix, sketch_tail_bound
 from .rsvd import RsvdFactors, _check_triplet, _rsvd
-from .selection import deim_growth_bound, select_indices
+from .selection import check_rank, deim_growth_bound, select_indices
 from .sketch import SketchConfig
 
 __all__ = [
@@ -145,9 +145,9 @@ def rsvdcur_bound(a, b, g, factors: RsvdFactors, k, khat, p):
     tails of B and G.  Diagnostic only; costs full SVDs of B and G.  The
     factors must fit the triplet (``_check_fit``).
     """
+    check_rank(k, khat)
     a, b, g = _check_fit(a, b, g, factors)
-    m, n = a.shape
-    ell, d = b.shape[1], g.shape[0]
+    (m, n), ell, d = a.shape, b.shape[1], g.shape[0]
 
     t_hat_w = _tail_block_norm(factors.w, khat)
     t_hat_z = _tail_block_norm(factors.z, khat)

@@ -80,6 +80,7 @@ def ldeim_select(v, k):
     m, khat = v.shape
     if not 1 <= khat <= k:
         raise ValueError(f"basis has {khat} columns, L-DEIM needs 1 to k={k}")
+    check_rank(k)
     if k > m:
         raise ValueError(f"cannot select {k} indices from {m} rows")
     top = np.abs(v).max(initial=0.0)

@@ -48,22 +48,22 @@ def sparse_lowrank(m, n, weights=None, density=0.025, seed=0):
     return (x * w) @ y.T
 
 
-def toeplitz_noise(m, n, epsilon, signal, seed=0):
+def toeplitz_noise(signal, epsilon, seed=0):
     """Correlated Gaussian noise with a 0.99-geometric Toeplitz column covariance.
 
-    F = randn(m, n) @ chol(T) with T = toeplitz(0.99^0, ..., 0.99^{n-1});
-    the result is F rescaled so its spectral norm is epsilon * ||signal||.
+    F = randn(m, n) @ chol(T) with T = toeplitz(0.99^0, ..., 0.99^{n-1}) for
+    the m-by-n ``signal``; F is rescaled to spectral norm epsilon * ||signal||.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
     signal = as_matrix(signal, "signal")
     if epsilon == 0.0:
-        return np.zeros((m, n))
-    i = np.arange(n)
+        return np.zeros(signal.shape)
+    i = np.arange(signal.shape[1])
     t = 0.99 ** np.abs(np.subtract.outer(i, i))
     chol_upper = np.linalg.cholesky(t).T
     rng = np.random.Generator(np.random.Philox(seed))
-    f = rng.standard_normal((m, n)) @ chol_upper
+    f = rng.standard_normal(signal.shape) @ chol_upper
     return epsilon * (two_norm(signal) / two_norm(f)) * f
 
 

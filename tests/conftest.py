@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rcur
+import rcur.linalg
 import rcur.sketch
 
 
@@ -61,3 +62,16 @@ def householder_shapes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", spy)
     return shapes
+
+
+@pytest.fixture
+def on_both_routes(monkeypatch):
+    """``run(fn)`` calls ``fn()`` as is, then with CholeskyQR2 declining so
+    that ``qr_stack`` takes its Householder route, and returns both results."""
+    def run(fn):
+        first = fn()
+        with monkeypatch.context() as m:
+            m.setattr(rcur.linalg, "cholesky_qr2", lambda blocks: None)
+            return first, fn()
+
+    return run

@@ -14,6 +14,7 @@ import pytest
 from rcur.cur import CurFactors, deim_cur
 from rcur.gcur import (
     GcurFactors,
+    gcur_bound,
     gcur_deterministic,
     gcur_from_factors,
     middle_matrix,
@@ -186,11 +187,37 @@ def test_randomized_pair_refuses_a_column_mismatch_before_sketching(widths):
     (lambda: ldeim_select(np.ones(5), 2), "2-dimensional"),
     (lambda: gaussian_matrix(0, 3, 0), "rows, cols >= 1"),
     (lambda: gaussian_matrix(3, 0, 0), "rows, cols >= 1"),
-    (lambda: toeplitz_noise(40, 12, -0.1, A), "epsilon must be >= 0"),
+    (lambda: toeplitz_noise(A, -0.1), "epsilon must be >= 0"),
     (lambda: subgroup_data(0, 5), "m, d must be >= 1"),
     (lambda: subgroup_data(5, 0), "m, d must be >= 1"),
 ], ids=["ldeim_select-1d", "gaussian_matrix-rows", "gaussian_matrix-cols",
         "toeplitz_noise-eps", "subgroup_data-m", "subgroup_data-d"])
 def test_arguments_out_of_range_are_refused(call, match):
     with pytest.raises(ValueError, match=match):
+        call()
+
+
+# probes of the rank rule: an orthonormal 20x3 basis, a pair (40x20, 25x20)
+# and a triplet (30x30, 30x50, 40x30) with its randomized RSVD factors
+RANK_RNG = np.random.default_rng(1)
+BASIS = np.linalg.qr(RANK_RNG.standard_normal((20, 3)))[0]
+PA, PB = RANK_RNG.standard_normal((40, 20)), RANK_RNG.standard_normal((25, 20))
+RA, RB, RG = (RANK_RNG.standard_normal(s) for s in ((30, 30), (30, 50), (40, 30)))
+RFAC = randomized_rsvd(RA, RB, RG, SketchConfig(5, 5, ldeim_budget=5, seed=0))
+BOUND_RANKS = [(0, 0), (5, 0), (5, 7), (-2, 5), (5, 2.5), (2.5, 5)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ldeim_select(BASIS[:, :2], 2.5),
+    lambda: ldeim_select(BASIS[:, :1], True),
+    *(lambda k=k: gcur_bound(PA, PB, k, 5) for k in (0, -2, True, 2.5)),
+    *(lambda k=k, khat=khat: rsvdcur_bound(RA, RB, RG, RFAC, k, khat, 5)
+      for k, khat in BOUND_RANKS),
+], ids=["ldeim_select-2.5", "ldeim_select-True",
+        *(f"gcur_bound-{k}" for k in (0, -2, True, 2.5)),
+        *(f"rsvdcur_bound-{k}-{khat}" for k, khat in BOUND_RANKS)])
+def test_every_function_that_takes_a_rank_checks_it(call):
+    # unchecked, these returned indices, zero or NaN bounds, or raised an
+    # untyped TypeError or IndexError
+    with pytest.raises(ValueError, match="must be an integer"):
         call()

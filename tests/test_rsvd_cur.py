@@ -113,6 +113,46 @@ def test_bound_evaluator_dominates_errors():
     assert bound.eta_b > 0 and bound.eta_g > 0
 
 
+def _tall_triplet(seed, m=20, n=12):
+    # with m > n the second stage's gamma = 0 pairs, the m - n directions A
+    # lacks, form a cluster whose basis LAPACK picks
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((m, n)), rng.standard_normal((m, 40)),
+            rng.standard_normal((30, n)))
+
+
+def _same_indices(fac, ref, names=("p", "p_b", "s", "s_g")):
+    return all(np.array_equal(getattr(fac, x), getattr(ref, x)) for x in names)
+
+
+def test_indices_outside_the_gamma_zero_cluster_ignore_the_qr_route(
+        on_both_routes):
+    # measured on seeds 0-29: the randomized p, s and s_G, every index of
+    # rsvd_cur and every index of a square (m = n) triplet agree
+    for seed in range(5):
+        cfg = SketchConfig(4, 3, seed=seed)
+        tall, square = _tall_triplet(seed), _tall_triplet(seed, m=15, n=15)
+        fac, ref = on_both_routes(lambda: r_ldeim_rsvd_cur(*tall, cfg))
+        assert _same_indices(fac, ref, ("p", "s", "s_g")), seed
+        for args in (tall, square):
+            assert _same_indices(*on_both_routes(lambda: rsvd_cur(*args, 4)))
+        assert _same_indices(*on_both_routes(
+            lambda: r_ldeim_rsvd_cur(*square, cfg)))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "p_B reads the randomized second stage's gamma = 0 cluster, whose basis "
+    "follows the QR route (ROADMAP item 7)"))
+def test_randomized_p_b_ignores_the_qr_route(on_both_routes):
+    # _carrying_columns drops the zero columns in front of the cluster, so
+    # L-DEIM reads into it: p_B differed on 30 of 30 seeds
+    for seed in range(3):
+        tall = _tall_triplet(seed)
+        fac, ref = on_both_routes(
+            lambda: r_ldeim_rsvd_cur(*tall, SketchConfig(4, 3, seed=seed)))
+        assert np.array_equal(fac.p_b, ref.p_b), seed
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_randomized_indices_do_not_depend_on_sketch_column_signs(seed,
                                                                  monkeypatch):

@@ -49,21 +49,23 @@ def test_sparse_lowrank_validation():
 def test_toeplitz_noise_norm_scaling():
     rng = np.random.default_rng(0)
     signal = rng.standard_normal((200, 50))
-    e = toeplitz_noise(200, 50, 0.3, signal, seed=1)
+    e = toeplitz_noise(signal, 0.3, seed=1)
     assert np.isclose(np.linalg.norm(e, 2), 0.3 * np.linalg.norm(signal, 2))
 
 
 def test_toeplitz_noise_column_correlation():
     # adjacent columns correlate near 0.99 by construction
     signal = np.eye(2000, 40)
-    e = toeplitz_noise(2000, 40, 1.0, signal, seed=2)
+    e = toeplitz_noise(signal, 1.0, seed=2)
     c = np.corrcoef(e[:, 0], e[:, 1])[0, 1]
     assert 0.95 < c < 1.0
 
 
 def test_toeplitz_noise_zero_epsilon():
-    e = toeplitz_noise(20, 10, 0.0, np.eye(20, 10), seed=0)
-    assert not e.any()
+    # no product with a zero scale, which would leave signed zeros
+    e = toeplitz_noise(np.eye(20, 10), 0.0, seed=0)
+    assert e.shape == (20, 10) and not e.any()
+    assert not np.signbit(e).any()
 
 
 def test_bfg_perturb_scaling_identity():
