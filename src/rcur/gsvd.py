@@ -15,6 +15,14 @@ Q_B Z are formed, one gemm each.  The public functions form every column;
 the randomized GCUR path asks the kernel for the leading r columns its
 selection reads, and Q_B Z is then formed for those r columns only.
 
+The randomized GSVD factors B on its own first, R_B = chol(B^T B)^T from
+one Gram matrix, and runs the CS step on the (w + n)-by-n stack
+[R_B; Q^T A]; V = B R_B^{-1} V' is one d-by-c gemm for the c columns
+formed.  So it QR-factors no block with B's d rows.  The Gram matrix
+loses kappa(B)^2 eps, so the lift must add at most the orthogonality loss
+V' already has, or roundoff; where it would add more, or the Cholesky
+fails, the stack [B; Q^T A] is factored as above.
+
 Sign convention: for each pair i the largest-magnitude entry of Y[:, i] is
 positive.  U[:, i] (where it exists) flips with it, and so does V[:, i] for
 each pair B carries, so both reconstructions hold; V's columns for the pairs
@@ -35,6 +43,7 @@ import numpy as np
 from .linalg import (
     DimensionError,
     RankDeficiencyError,
+    _gram_cholesky,
     as_matrix,
     qr_stack,
     qr_thin,
@@ -209,6 +218,15 @@ def randomized_gsvd(a, b, cfg: SketchConfig):
     orthonormal columns spanning range(Q); B is factored exactly, A only
     through its projection U U^T A, which at the cap is A itself.  B needs
     at least n rows, as in ``gsvd``; A may have fewer (U stays orthonormal).
+
+    B is factored first: R_B = chol(B^T B)^T, the CS step runs on
+    [R_B; Q^T A] and V = B R_B^{-1} V' lifts its n-row V'.  The lift is
+    kept only if ||V^T V - V'^T V'||_F <= max(||V'^T V' - I||_F, c n eps),
+    c the columns of V: it may at most double the orthogonality loss V'
+    has, or stay at roundoff.  Otherwise, and where the Cholesky fails
+    (B^T B numerically singular, as for a B of deficient rank, or a Gram
+    matrix that under- or overflows), the factors are those of the stack
+    [B; Q^T A], bitwise, small-beta fill included.
     """
     return _randomized_gsvd(as_matrix(a, "A"), as_matrix(b, "B"), cfg)
 
@@ -221,5 +239,35 @@ def _randomized_gsvd(a, b, cfg: SketchConfig, cols=None):
         raise DimensionError(f"randomized gsvd needs B to have at least "
                              f"{a.shape[1]} rows, got {b.shape}")
     q = _range_finder(a, cfg.width(), cfg.seed)
-    factors = _cs_gsvd(q.T @ a, b, cols=cols)
+    qta = q.T @ a
+    factors = _gram_route(qta, b, cols)
+    if factors is None:
+        factors = _cs_gsvd(qta, b, cols=cols)
     return replace(factors, u=q @ factors.u)
+
+
+def _gram_route(qta, b, cols):
+    """``randomized_gsvd``'s factors through B's triangle, or None where
+    that docstring's rule declines them.
+
+    R_B and R_B^{-1} come from ``linalg._gram_cholesky``; Q_B = B R_B^{-1}
+    is never formed, V is B (R_B^{-1} V'), a d-by-c gemm.  A stack
+    [R_B; Q^T A] judged rank deficient declines too, so the rank is
+    decided on B itself.
+    """
+    first = _gram_cholesky([b])
+    if first is None:
+        return None
+    r_b, r_b_inv = first
+    try:
+        factors = _cs_gsvd(qta, r_b, cols=cols)
+    except RankDeficiencyError:
+        return None
+    v = b @ (r_b_inv @ factors.v)
+    gram = factors.v.T @ factors.v
+    c = gram.shape[0]
+    loss = max(np.linalg.norm(gram - np.eye(c)),
+               c * b.shape[1] * np.finfo(float).eps)
+    if not np.linalg.norm(v.T @ v - gram) <= loss:
+        return None
+    return replace(factors, v=v)

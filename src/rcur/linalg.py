@@ -33,6 +33,12 @@ GFLOP/s; the gemms CholeskyQR2 is built from run at about 57 GFLOP/s.  On skinny
 even runs slower at 2 OpenBLAS threads than at 1: 10.6 against 5.3 ms at
 1000-by-90 on the same host.
 
+Each CholeskyQR2 pass is one ``_gram_cholesky``: R = chol(sum X_i^T X_i)^T
+and R^{-1}, or None where the Cholesky fails or R is not finite.  The
+randomized GSVD calls it on B alone, which reduces B to its n-by-n
+triangle without a QR of its d rows (``gsvd``'s docstring gives the rule
+that checks the result).
+
 ``qr_thin`` (a Householder QR) is left to ``qr_stack``'s fallback and to
 the complement ``gsvd`` fills in for small betas; ``complete_orthonormal``
 runs its own complete Householder QR.
@@ -164,39 +170,58 @@ def _inv_upper(r):
     return x
 
 
+def _gram_cholesky(blocks):
+    """One Cholesky QR pass over the row stack of ``blocks``: (R, R^{-1})
+    with R = chol(sum X_i^T X_i)^T upper triangular, or None.
+
+    X^T X is summed block by block, so the stack is never copied.  R^{-1}
+    is ``_inv_upper``'s blocked inverse, bitwise ``np.linalg.inv`` up to
+    order 128.  Declines (None) where the Cholesky fails or R or R^{-1} is
+    not finite: an overflowing Gram matrix leaves infs or NaNs, which are
+    declined quietly.  The shared first pass of ``cholesky_qr2`` and of
+    the randomized GSVD's factor of B (``gsvd._gram_route``).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            r = np.linalg.cholesky(sum(x.T @ x for x in blocks)).T
+            r_inv = _inv_upper(r)
+        except np.linalg.LinAlgError:
+            return None
+    if not (np.isfinite(r).all() and np.isfinite(r_inv).all()):
+        return None
+    return r, r_inv
+
+
 def cholesky_qr2(blocks):
     """CholeskyQR2 of the row stack of ``blocks``, or None where it cannot be trusted.
 
     R1 = chol(X^T X), Q1 = X R1^{-1}; R2 = chol(Q1^T Q1), R = R2 R1 and
-    Q = Q1 R2^{-1}.  X^T X is summed block by block and each block of Q1
-    is written in place, so the stack X is never copied.  Returns (q, r):
-    ``q`` a :class:`CholeskyQ` and ``r`` the n-by-n upper-triangular
-    factor.  Declines (None) when the stack has fewer rows than columns, a
-    Cholesky fails, the Gram matrix overflows, or ||Q1^T Q1 - I||_F
-    exceeds ``CHOLQR_ORTH_TOL``.  R1 and R2 are inverted by
-    ``_inv_upper``'s blocked triangular inverse, bitwise ``np.linalg.inv``
-    up to order 128.
+    Q = Q1 R2^{-1}.  Both passes are ``_gram_cholesky``'s, and each block
+    of Q1 is written in place, so the stack X is never copied.  Returns
+    (q, r): ``q`` a :class:`CholeskyQ` and ``r`` the n-by-n
+    upper-triangular factor.  Declines (None) when the stack has fewer
+    rows than columns, either pass declines, or ||Q1^T Q1 - I||_F, read
+    as ||R2^T R2 - I||_F, exceeds ``CHOLQR_ORTH_TOL``.
     """
     m, n = sum(x.shape[0] for x in blocks), blocks[0].shape[1]
     if m < n:
         return None
-    # an overflowed Gram matrix leaves NaNs, which "not <=" declines quietly
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            r1 = np.linalg.cholesky(sum(x.T @ x for x in blocks)).T
-            r1_inv = _inv_upper(r1)
-            q1 = np.empty((m, n))
-            lo = 0
-            for x in blocks:
-                np.matmul(x, r1_inv, out=q1[lo:lo + x.shape[0]])
-                lo += x.shape[0]
-            g = q1.T @ q1
-            if not np.linalg.norm(g - np.eye(n)) <= CHOLQR_ORTH_TOL:
-                return None
-            r2 = np.linalg.cholesky(g).T
-        except np.linalg.LinAlgError:
-            return None
-    return CholeskyQ(q1=q1, r2_inv=_inv_upper(r2)), r2 @ r1
+    first = _gram_cholesky(blocks)
+    if first is None:
+        return None
+    r1, r1_inv = first
+    q1 = np.empty((m, n))
+    lo = 0
+    for x in blocks:
+        np.matmul(x, r1_inv, out=q1[lo:lo + x.shape[0]])
+        lo += x.shape[0]
+    second = _gram_cholesky([q1])
+    if second is None:
+        return None
+    r2, r2_inv = second
+    if not np.linalg.norm(r2.T @ r2 - np.eye(n)) <= CHOLQR_ORTH_TOL:
+        return None
+    return CholeskyQ(q1=q1, r2_inv=r2_inv), r2 @ r1
 
 
 def qr_stack(blocks):

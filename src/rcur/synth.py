@@ -48,14 +48,19 @@ def sparse_lowrank(m, n, weights=None, density=0.025, seed=0):
     return (x * w) @ y.T
 
 
+def _check_epsilon(epsilon):
+    """Refuse a noise level that is negative, NaN or infinite."""
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be >= 0 and finite, got {epsilon}")
+
+
 def toeplitz_noise(signal, epsilon, seed=0):
     """Correlated Gaussian noise with a 0.99-geometric Toeplitz column covariance.
 
     F = randn(m, n) @ chol(T) with T = toeplitz(0.99^0, ..., 0.99^{n-1}) for
     the m-by-n ``signal``; F is rescaled to spectral norm epsilon * ||signal||.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    _check_epsilon(epsilon)
     signal = as_matrix(signal, "signal")
     if epsilon == 0.0:
         return np.zeros(signal.shape)
@@ -79,6 +84,7 @@ def bfg_perturb(a, ell, d, epsilon, seed=0):
         raise DimensionError(
             f"dimensions must satisfy ell >= d >= m >= n, got ({ell},{d},{m},{n})"
         )
+    _check_epsilon(epsilon)
     s1, s2, s3 = split_seed(seed, 3)
     b = np.random.Generator(np.random.Philox(s1)).standard_normal((m, ell))
     f = np.random.Generator(np.random.Philox(s2)).standard_normal((ell, d))

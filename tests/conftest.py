@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rcur
+import rcur.gsvd
 import rcur.linalg
 import rcur.sketch
 
@@ -66,12 +67,16 @@ def householder_shapes(monkeypatch):
 
 @pytest.fixture
 def on_both_routes(monkeypatch):
-    """``run(fn)`` calls ``fn()`` as is, then with CholeskyQR2 declining so
-    that ``qr_stack`` takes its Householder route, and returns both results."""
+    """``run(fn)`` calls ``fn()`` as is, then with every Cholesky route
+    declining, and returns both results.  In the second call CholeskyQR2
+    declines, so ``qr_stack`` takes its Householder route, and the
+    randomized GSVD's Gram factor of B declines, so it QR-factors the
+    stack [B; Q^T A] as ``gsvd`` does."""
     def run(fn):
         first = fn()
         with monkeypatch.context() as m:
             m.setattr(rcur.linalg, "cholesky_qr2", lambda blocks: None)
+            m.setattr(rcur.gsvd, "_gram_cholesky", lambda blocks: None)
             return first, fn()
 
     return run

@@ -212,6 +212,20 @@ def test_synth_command(tmp_path):
     assert np.allclose(a + e, ae)
 
 
+@pytest.mark.parametrize("kind,flags", [
+    ("toeplitz-pair", ["--m", "20", "--n", "5", "--eps", "nan"]),
+    ("toeplitz-pair", ["--m", "20", "--n", "5", "--eps", "-0.1"]),
+    ("bfg-triplet", ["--l", "120", "--d", "60", "--m", "30", "--eps", "inf"]),
+], ids=["toeplitz-nan", "toeplitz-negative", "bfg-inf"])
+def test_synth_refuses_a_bad_epsilon_and_writes_nothing(tmp_path, capsys,
+                                                        kind, flags):
+    code = run(["synth", "--kind", kind, *flags,
+                "--out-prefix", str(tmp_path / "t")])
+    assert code == 1
+    assert "epsilon must be >= 0 and finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("kind,flags,names,generate", [
     ("bfg-triplet", ["--l", "120", "--d", "60", "--m", "30", "--eps", "0.1"],
      ("A", "AE", "B", "G"), lambda: exp4_instance(120, 60, 30, 0.1, 3)),

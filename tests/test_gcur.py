@@ -431,3 +431,15 @@ def test_deim_cur_ldeim_variant():
     fac = deim_cur(a, 6, khat=3)
     assert len(fac.p) == 6
     assert np.allclose(fac.reconstruct_a(a), a, atol=1e-7)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_randomized_indices_do_not_depend_on_the_route(seed, on_both_routes):
+    # the Gram route and CholeskyQR2 against the stacked Householder route
+    _, e, a_e = exp1_instance(600, 80, 0.05, seed)
+    cfg = SketchConfig(20, 5, seed=seed)
+    for rand in (r_deim_gcur, r_ldeim_gcur):
+        fac, ref = on_both_routes(lambda: rand(a_e, e, cfg))
+        for name in ("p", "s_a", "s_b"):
+            assert np.array_equal(getattr(fac, name), getattr(ref, name)), \
+                (rand.__name__, name)

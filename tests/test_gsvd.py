@@ -7,6 +7,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rcur.gsvd
+import rcur.linalg
+from rcur.bench import exp1_instance
 from rcur.linalg import (
     DimensionError,
     RankDeficiencyError,
@@ -15,7 +18,7 @@ from rcur.linalg import (
 )
 from rcur.gcur import gcur_deterministic, r_deim_gcur, r_ldeim_gcur
 from rcur.gsvd import BETA_ZERO_TOL, _cs_gsvd, gsvd, randomized_gsvd
-from rcur.sketch import SketchConfig
+from rcur.sketch import SketchConfig, _range_finder
 
 
 def random_pair(seed, m=40, d=30, n=15):
@@ -366,3 +369,118 @@ def test_a_block_at_the_tall_boundary_matches_the_tall_svd(m, svd_shapes):
     a, b = random_pair(31, m=m, d=60, n=40)
     _check_against_tall_svd(a, b)
     assert svd_shapes == [(40, 40)]
+
+
+@pytest.fixture
+def stack_shapes(monkeypatch):
+    """Block shapes of every stack the library hands ``cholesky_qr2``, in
+    call order."""
+    stacks = []
+    qr2 = rcur.linalg.cholesky_qr2
+
+    def spy(blocks):
+        stacks.append([x.shape for x in blocks])
+        return qr2(blocks)
+
+    monkeypatch.setattr(rcur.linalg, "cholesky_qr2", spy)
+    return stacks
+
+
+def _has_block(stacks, shape):
+    return any(shape in blocks for blocks in stacks)
+
+
+def test_randomized_gsvd_factors_no_block_with_the_rows_of_b(
+        stack_shapes, householder_shapes, monkeypatch):
+    # B is reduced to its n-by-n triangle by one Gram matrix and one
+    # Cholesky, so the CS step factors [R_B; Q^T A]; the d-by-k QR of
+    # B(:, p) behind the middle matrix stays.  With the Gram factor
+    # declining, the same call factors the d-by-n B inside the stack
+    rng = np.random.default_rng(30)
+    a, b = rng.standard_normal((300, 40)), rng.standard_normal((5000, 40))
+    cfg = SketchConfig(10, 5, seed=3)
+    r_ldeim_gcur(a, b, cfg)
+    assert [(40, 40), (10, 40)] in stack_shapes
+    assert [(5000, 10)] in stack_shapes
+    assert not _has_block(stack_shapes, (5000, 40))
+    assert householder_shapes == []
+    stack_shapes.clear()
+    monkeypatch.setattr(rcur.gsvd, "_gram_cholesky", lambda blocks: None)
+    r_ldeim_gcur(a, b, cfg)
+    assert [(5000, 40), (10, 40)] in stack_shapes
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gram_route_kept_on_the_exp1_pair(seed, stack_shapes):
+    _, e, a_e = exp1_instance(600, 80, 0.05, seed)
+    for rand in (r_deim_gcur, r_ldeim_gcur):
+        rand(a_e, e, SketchConfig(20, 5, seed=seed))
+    assert sum(blocks[0] == (80, 80) for blocks in stack_shapes) == 2
+    assert not _has_block(stack_shapes, (600, 80))
+
+
+def _assert_stacked_route(f, a, b, cfg):
+    """``f`` is bitwise the GSVD of the stack [B; Q^T A], lifted by Q."""
+    q = _range_finder(a, cfg.width(), cfg.seed)
+    ref = _cs_gsvd(q.T @ a, b)
+    assert np.array_equal(f.u, q @ ref.u)
+    for name in ("v", "y", "gamma", "beta"):
+        assert np.array_equal(getattr(f, name), getattr(ref, name)), name
+
+
+def test_gram_route_declines_where_the_lift_loses_orthogonality():
+    # A is weak along B's weak directions (kappa(B) = 1e5), so every beta
+    # is moderate and V' is orthonormal to 2e-12, while B R_B^{-1} adds
+    # about kappa^2 eps (3.8e-7): the rule declines, and V keeps the
+    # stacked route's orthogonality (2.2e-12)
+    rng = np.random.default_rng(0)
+    d, n = 5000, 200
+    s = np.logspace(0, -5, n)
+    w = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    b = (np.linalg.qr(rng.standard_normal((d, n)))[0] * s) @ w.T
+    a = (rng.standard_normal((300, n)) * s) @ w.T
+    cfg = SketchConfig(20, 5, seed=0)
+    f = randomized_gsvd(a, b, cfg)
+    _assert_stacked_route(f, a, b, cfg)
+    assert np.linalg.norm(f.v.T @ f.v - np.eye(n)) <= 1e-10
+
+
+def test_gram_route_declines_a_b_with_a_zero_column():
+    # B^T B is singular, so its Cholesky fails: the small-beta fill is the
+    # stacked route's, orthonormal complement and all
+    rng = np.random.default_rng(31)
+    a, b = rng.standard_normal((300, 30)), rng.standard_normal((2000, 30))
+    b[:, 7] = 0.0
+    cfg = SketchConfig(10, 5, seed=1)
+    f = randomized_gsvd(a, b, cfg)
+    _assert_stacked_route(f, a, b, cfg)
+    assert (f.beta < BETA_ZERO_TOL).sum() == 1
+    _check_filled_columns(f, b)
+    assert np.linalg.norm(f.v.T @ f.v - np.eye(30)) <= 1e-13
+
+
+def test_gram_route_declines_a_triangle_the_rank_test_refuses(monkeypatch):
+    # a stack [R_B; Q^T A] judged singular sends the pair down the stacked
+    # route, which decides the rank on B itself
+    a, b = random_pair(32, m=60, d=50, n=20)
+    cfg = SketchConfig(5, 3, seed=2)
+    monkeypatch.setattr(rcur.gsvd, "_gram_cholesky",
+                        lambda blocks: (np.zeros((20, 20)), np.eye(20)))
+    _assert_stacked_route(randomized_gsvd(a, b, cfg), a, b, cfg)
+
+
+@pytest.mark.parametrize("scale", [1e-308, 1e-160, 1e-16, 1e30, 1e160])
+def test_randomized_indices_ignore_a_common_scale(scale, stack_shapes):
+    # at 1e-308 and 1e-160 the Gram matrix of B underflows and at 1e160 it
+    # overflows; the Gram route then declines without a warning
+    _, e, a_e = exp1_instance(600, 80, 0.05, 1)
+    cfg = SketchConfig(20, 5, seed=1)
+    ref = r_deim_gcur(a_e, e, cfg)
+    stack_shapes.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fac = r_deim_gcur(scale * a_e, scale * e, cfg)
+    assert _has_block(stack_shapes, (600, 80)) == (
+        not 1e-150 < scale < 1e150)
+    for name in ("p", "s_a", "s_b"):
+        assert np.array_equal(getattr(fac, name), getattr(ref, name)), name

@@ -68,6 +68,20 @@ def test_toeplitz_noise_zero_epsilon():
     assert not np.signbit(e).any()
 
 
+@pytest.mark.parametrize("eps", [-0.1, float("nan"), float("inf")])
+def test_noise_generators_refuse_a_bad_epsilon(eps, monkeypatch):
+    # refused before any draw: a Philox stream would raise here
+    def no_draw(seed):
+        raise AssertionError("drew noise")
+
+    monkeypatch.setattr(np.random, "Philox", no_draw)
+    a = np.eye(30)
+    with pytest.raises(ValueError, match="epsilon must be >= 0 and finite"):
+        toeplitz_noise(a, eps)
+    with pytest.raises(ValueError, match="epsilon must be >= 0 and finite"):
+        bfg_perturb(a, 60, 40, eps)
+
+
 def test_bfg_perturb_scaling_identity():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((30, 30))
