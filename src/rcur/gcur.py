@@ -39,8 +39,8 @@ from .linalg import (
     two_norm,
 )
 from .gsvd import GsvdFactors, _gsvd, _randomized_gsvd
-from .selection import (check_rank, deim_growth_bound, leading_columns,
-                        select_indices)
+from .selection import (check_oversampling, check_rank, deim_growth_bound,
+                        leading_columns, select_indices)
 from .sketch import SketchConfig
 
 __all__ = [
@@ -158,9 +158,11 @@ def _gcur_from_factors(a, b, factors, k, khat=None):
 
 
 def gcur_deterministic(a, b, k, khat=None):
-    """Rank-k GCUR from the full GSVD of (A, B)."""
+    """Rank-k GCUR from the GSVD columns of (A, B) the selection reads."""
+    check_rank(k, khat)
     a, b = as_matrix(a, "A"), as_matrix(b, "B")
-    return _gcur_from_factors(a, b, _gsvd(a, b), k, khat)
+    return _gcur_from_factors(a, b, _gsvd(a, b, leading_columns(k, khat)),
+                              k, khat)
 
 
 def r_deim_gcur(a, b, cfg: SketchConfig):
@@ -202,6 +204,7 @@ def gcur_bound(a, b, k, p):
     bound.  Offline diagnostic: costs a full SVD of A and a GSVD of (A, B).
     """
     check_rank(k)
+    check_oversampling(p)
     a, b = as_matrix(a, "A"), as_matrix(b, "B")
     (m, n), d = a.shape, b.shape[0]
     if k >= n:
@@ -211,8 +214,8 @@ def gcur_bound(a, b, k, p):
     eta = deim_growth_bound(n, k) + deim_growth_bound(m, k)
     factors = _gsvd(a, b)
     gam, bet = factors.gamma[k], factors.beta[k]
-    # Y = R^T Z with Z orthogonal and R the R factor of [B; A], so Y has the
-    # singular values of the stack
+    # Y = R^T Z with Z orthogonal and R the R factor of [B; R_A], so Y has
+    # the singular values of that stack, which are those of [B; A]
     pinv_norm = 1.0 / np.linalg.svd(factors.y, compute_uv=False)[-1]
     norm_sum = sa[0] + two_norm(b)
     bound_a = eta * (theta + norm_sum * (gam / bet + theta / bet * pinv_norm))

@@ -5,15 +5,15 @@ The pair (A, B) with A m-by-n, B d-by-n is factored as
     A = U diag(gamma) Y^T,    B = V diag(beta) Y^T,
 
 with U, V orthonormal columns, Y n-by-n nonsingular, gamma_i^2 + beta_i^2 = 1
-and gamma_i / beta_i non-increasing.  The kernel route is a QR of the
-stacked matrix [B; A] = QR (``linalg.qr_stack``, which picks the QR route)
-followed by an SVD of the A-block Q_A of Q (a CS-decomposition step), which
-costs O((m+d) n^2).  A tall Q_A (more rows than columns, the deterministic
-GSVD's) is QR-factored by ``qr_stack`` in turn, so the SVD is that of its
-n-by-n R, and U costs one more gemm.  Only Q_A and the B-side product
-Q_B Z are formed, one gemm each.  The public functions form every column;
-the randomized GCUR path asks the kernel for the leading r columns its
-selection reads, and Q_B Z is then formed for those r columns only.
+and gamma_i / beta_i non-increasing.  The exact GSVD reduces A to its
+triangle first (Chan, ACM TOMS 8, 1982): A = Q_A R_A by ``linalg.qr_stack``,
+the one place that picks a QR route.  The CS step (Paige & Saunders, SIAM
+J. Numer. Anal. 18, 1981) QR-factors the stack [B; R_A] = QR and takes the
+SVD W diag(gamma) Z^T of Q's n-by-n A-block; U = Q_A W.  The whole costs
+O((m+d) n^2), and only the A-block, the B-side product Q_B Z and U are
+formed, one gemm each.  The public functions form every column; the GCUR
+constructors ask for the leading r columns their selection reads, and U,
+V and Y are then formed for those r columns only.
 
 The randomized GSVD factors B on its own first, R_B = chol(B^T B)^T from
 one Gram matrix, and runs the CS step on the (w + n)-by-n stack
@@ -21,7 +21,7 @@ one Gram matrix, and runs the CS step on the (w + n)-by-n stack
 formed.  So it QR-factors no block with B's d rows.  The Gram matrix
 loses kappa(B)^2 eps, so the lift must add at most the orthogonality loss
 V' already has, or roundoff; where it would add more, or the Cholesky
-fails, the stack [B; Q^T A] is factored as above.
+fails, the CS step runs on the stack [B; Q^T A] itself.
 
 Sign convention: for each pair i the largest-magnitude entry of Y[:, i] is
 positive.  U[:, i] (where it exists) flips with it, and so does V[:, i] for
@@ -66,11 +66,10 @@ class GsvdFactors:
     trailing gammas are exactly zero and carry no A-side directions).
     A beta below ``BETA_ZERO_TOL`` marks a pair outside B's column space.
 
-    ``gsvd`` and ``randomized_gsvd`` return every column.  Only the
-    randomized GCUR entry points (``r_deim_gcur``, ``r_ldeim_gcur``) work
-    on truncated factors, which they never return: there U, V and Y hold
-    the leading columns the selection reads, and gamma and beta as many
-    entries.
+    ``gsvd`` and ``randomized_gsvd`` return every column.  Only the GCUR
+    constructors work on truncated factors, which they never return: there
+    U, V and Y hold the leading columns the selection reads, and gamma and
+    beta as many entries.
     """
 
     u: np.ndarray
@@ -93,12 +92,12 @@ class GsvdFactors:
 
 
 def _cs_gsvd(a, b, cols=None):
-    """Shared kernel: factor (a, b) with any row counts and equal columns.
+    """Shared kernel: factor (a, b), n columns each, a with at most n rows.
 
     Returns factors where the a-side values (gamma) are non-increasing and
     the columns follow the module's sign convention.  The a-side orthonormal
-    factor has min(rows(a), n) columns; both inputs are reproduced exactly
-    up to roundoff.
+    factor has rows(a) columns; both inputs are reproduced exactly up to
+    roundoff.
 
     ``cols`` = r returns only the leading min(r, n) columns of U, V and Y
     (and as many gammas and betas): Q_B Z and R^T Z are formed for those
@@ -108,10 +107,9 @@ def _cs_gsvd(a, b, cols=None):
     is rotated as a whole, and return the leading ones.
 
     Route: [B; A] = QR by ``qr_stack``; the SVD Q_A = W diag(gamma) Z^T of
-    the formed A-block gives U = W and Y = R^T Z.  A tall block (more rows
-    than n) is factored Q_A = Q' R' by ``qr_stack`` and its SVD taken from
-    the n-by-n R' = W' diag(gamma) Z^T, with W = Q' W' one gemm; gamma
-    agrees with the tall SVD's to roundoff.  The formed product
+    the formed A-block gives U = W and Y = R^T Z.  A has at most n rows, so
+    that block is at most n-by-n: a tall A reaches the kernel as its
+    triangle (``_gsvd``) or its sketch Q^T A.  The formed product
     Q_B Z = V diag(beta) gives beta (its column norms) and V, scaled in
     place in that product's buffer.  Every stack is rank-tested
     (``linalg.stack_rank_deficient``): a numerically singular one raises
@@ -121,23 +119,16 @@ def _cs_gsvd(a, b, cols=None):
     count: every caller has validated or computed them, so they are not
     checked again here.
     """
-    n = a.shape[1]
-    d, ra = b.shape[0], a.shape[0]
+    (ra, n), d = a.shape, b.shape[0]
     q, r = qr_stack([b, a])
     if stack_rank_deficient(q, r):
         raise RankDeficiencyError("stacked pair [B; A] is rank deficient")
-    if ra > n:
-        # the SVD of the tall block's n-by-n R; U is one gemm (Route above)
-        q_a, r_a = qr_stack([q.rows(d, d + ra)])
-        w, s, zt = np.linalg.svd(r_a)
-        w = q_a.rows(0, ra, w)
-    else:
-        # ra <= n rows: the full factors are the thin ones on a square
-        # block, and Z stays n-by-n on a wide one
-        w, s, zt = np.linalg.svd(q.rows(d, d + ra))
+    # ra <= n rows: the full factors are the thin ones on a square block,
+    # and Z stays n-by-n on a wide one
+    w, s, zt = np.linalg.svd(q.rows(d, d + ra))
     z = zt.T
     gamma = np.zeros(n)
-    gamma[: min(ra, n)] = np.clip(s, 0.0, 1.0)
+    gamma[:ra] = np.clip(s, 0.0, 1.0)
 
     keep = n if cols is None else min(cols, n)
     # the beta = 0 block is rotated as a whole below, so a small beta among
@@ -198,16 +189,17 @@ def _check_columns(a, b):
             f"pair must share a column count, got {a.shape} and {b.shape}")
 
 
-def _gsvd(a, b):
-    """``gsvd`` on validated inputs."""
+def _gsvd(a, b, cols=None):
+    """``gsvd`` on validated inputs, forming the leading ``cols`` columns of
+    each factor (``_cs_gsvd``), or all of them when None."""
     _check_columns(a, b)
-    n = a.shape[1]
-    if a.shape[0] < n or b.shape[0] < n:
-        raise DimensionError(
-            f"gsvd needs both matrices to have at least {n} rows, "
-            f"got {a.shape} and {b.shape}"
-        )
-    return _cs_gsvd(a, b)
+    m, n = a.shape
+    if m < n or b.shape[0] < n:
+        raise DimensionError(f"gsvd needs both matrices to have at least {n} "
+                             f"rows, got {a.shape} and {b.shape}")
+    q, r = qr_stack([a])
+    f = _cs_gsvd(r, b, cols=cols)
+    return replace(f, u=q.rows(0, m, f.u))
 
 
 def randomized_gsvd(a, b, cfg: SketchConfig):

@@ -17,8 +17,8 @@ arrays their callers validated or computed, so they check shapes but do
 not scan the entries again.
 
 ``qr_stack`` is the one place that picks how a row stack of blocks is
-QR-factored; the GSVD's stacked pair and its tall A-block, the RSVD's G,
-the middle matrices' C and R^T and every sketch basis of
+QR-factored; the exact GSVD's A (the RSVD's G) and its stack [B; R_A], the
+middle matrices' C and R^T and every sketch basis of
 ``sketch.range_finder`` go through it.  It runs CholeskyQR2
 (``cholesky_qr2``), all BLAS-3
 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44, 2015); its two

@@ -28,9 +28,8 @@ from .linalg import (
     RankDeficiencyError,
     as_matrix,
     complete_orthonormal,
-    qr_stack,
 )
-from .gsvd import BETA_ZERO_TOL, _cs_gsvd
+from .gsvd import BETA_ZERO_TOL, _cs_gsvd, _gsvd
 from .sketch import SketchConfig, _range_finder, split_seed
 
 __all__ = ["RsvdFactors", "rsvd_deterministic", "randomized_rsvd"]
@@ -93,16 +92,14 @@ def _check_triplet(a, b, g):
 def _rsvd(a, b, g, cfg=None):
     """The one RSVD body on a validated triplet; ``cfg`` sketches B^T U_1.
 
-    First stage: the GSVD of (R_G, A) for G = Q_G R_G (``qr_stack``), its
-    G-side factor lifted by Q_G, an n-by-n CS step (Chan, ACM TOMS 8,
-    1982); U_1 is completed to m-by-m.  Second stage: the GSVD of
-    (Sigma_1^{-1} Gamma_1^T, B^T U_1), where ``cfg`` projects B^T U_1 onto
-    the sketch basis H_2 and lifts the B-side factor by H_2; without it, U
-    and V are completed.
+    First stage: the exact GSVD of (G, A) (``gsvd._gsvd``, whose CS step
+    runs on G's n-by-n triangle); U_1 is completed to m-by-m.  Second
+    stage: the GSVD of (Sigma_1^{-1} Gamma_1^T, B^T U_1), where ``cfg``
+    projects B^T U_1 onto the sketch basis H_2 and lifts the B-side factor
+    by H_2; without it, U and V are completed.
     """
     m, n = a.shape
-    q, r = qr_stack([g])
-    f1 = _cs_gsvd(r, a)
+    f1 = _gsvd(g, a)
     if np.any(f1.gamma <= BETA_ZERO_TOL):
         raise RankDeficiencyError("Sigma_1 singular: G lacks full column rank")
     u1 = complete_orthonormal(f1.v)
@@ -128,7 +125,7 @@ def _rsvd(a, b, g, cfg=None):
     # free diagonal scaling that keeps the triplet normalized; where A lacks
     # a direction (sigma == 0) it falls back to 1 and gives that up
     gamma_g = np.where(sigma > BETA_ZERO_TOL, sigma / np.sqrt(sigma**2 + 1.0), 1.0)
-    v = q.rows(0, g.shape[0], f1.u) @ f2.u
+    v = f1.u @ f2.u
     if cfg is None:
         u, v = complete_orthonormal(u), complete_orthonormal(v)
     return RsvdFactors(

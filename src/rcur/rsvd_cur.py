@@ -19,7 +19,8 @@ import numpy as np
 from .linalg import DimensionError, select_columns, select_rows, two_norm
 from .gcur import _middle_matrix, sketch_tail_bound
 from .rsvd import RsvdFactors, _check_triplet, _rsvd
-from .selection import check_rank, deim_growth_bound, select_indices
+from .selection import (check_oversampling, check_rank, deim_growth_bound,
+                        select_indices)
 from .sketch import SketchConfig
 
 __all__ = [
@@ -146,6 +147,7 @@ def rsvdcur_bound(a, b, g, factors: RsvdFactors, k, khat, p):
     factors must fit the triplet (``_check_fit``).
     """
     check_rank(k, khat)
+    check_oversampling(p)
     a, b, g = _check_fit(a, b, g, factors)
     (m, n), ell, d = a.shape, b.shape[1], g.shape[0]
 

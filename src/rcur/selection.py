@@ -32,6 +32,7 @@ __all__ = [
     "ldeim_select",
     "default_khat",
     "check_rank",
+    "check_oversampling",
     "leading_columns",
     "select_indices",
     "deim_growth_bound",
@@ -134,6 +135,12 @@ def check_rank(k, khat=None):
                                  and 1 <= khat <= k):
         raise ValueError(f"L-DEIM budget must be an integer with "
                          f"1 <= khat <= k={k}, got {khat!r}")
+
+
+def check_oversampling(p):
+    """Refuse an oversampling p that is not an integer >= 0, or a bool."""
+    if not np.issubdtype(type(p), np.integer) or p < 0:
+        raise ValueError(f"oversampling must be an integer >= 0, got {p!r}")
 
 
 def leading_columns(k, khat=None):

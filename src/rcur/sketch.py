@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, qr_stack
-from .selection import check_rank, default_khat
+from .selection import check_oversampling, check_rank, default_khat
 
 __all__ = ["SketchConfig", "gaussian_matrix", "range_finder", "split_seed"]
 
@@ -30,10 +30,7 @@ class SketchConfig:
 
     def __post_init__(self):
         check_rank(self.target_rank, self.ldeim_budget)
-        if (not np.issubdtype(type(self.oversampling), np.integer)
-                or self.oversampling < 0):
-            raise ValueError(f"oversampling must be an integer >= 0, "
-                             f"got {self.oversampling!r}")
+        check_oversampling(self.oversampling)
         if self.ldeim_budget is None:
             object.__setattr__(self, "ldeim_budget",
                                default_khat(self.target_rank))

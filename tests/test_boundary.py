@@ -183,6 +183,9 @@ def test_randomized_pair_refuses_a_column_mismatch_before_sketching(widths):
     assert widths == []
 
 
+BAD_OVERSAMPLING = [-3, -20, 2.5, True]
+
+
 @pytest.mark.parametrize("call,match", [
     (lambda: ldeim_select(np.ones(5), 2), "2-dimensional"),
     (lambda: gaussian_matrix(0, 3, 0), "rows, cols >= 1"),
@@ -190,8 +193,16 @@ def test_randomized_pair_refuses_a_column_mismatch_before_sketching(widths):
     (lambda: toeplitz_noise(A, -0.1), "epsilon must be >= 0"),
     (lambda: subgroup_data(0, 5), "m, d must be >= 1"),
     (lambda: subgroup_data(5, 0), "m, d must be >= 1"),
+    # unchecked, p = -3 gave a finite bound and p = -20 NaN
+    *((lambda p=p: gcur_bound(A, B, 5, p), "oversampling must be")
+      for p in BAD_OVERSAMPLING),
+    *((lambda p=p: rsvdcur_bound(TA, TB, TG, rsvd_deterministic(TA, TB, TG),
+                                 4, 2, p), "oversampling must be")
+      for p in BAD_OVERSAMPLING),
 ], ids=["ldeim_select-1d", "gaussian_matrix-rows", "gaussian_matrix-cols",
-        "toeplitz_noise-eps", "subgroup_data-m", "subgroup_data-d"])
+        "toeplitz_noise-eps", "subgroup_data-m", "subgroup_data-d",
+        *(f"gcur_bound-p{p}" for p in BAD_OVERSAMPLING),
+        *(f"rsvdcur_bound-p{p}" for p in BAD_OVERSAMPLING)])
 def test_arguments_out_of_range_are_refused(call, match):
     with pytest.raises(ValueError, match=match):
         call()

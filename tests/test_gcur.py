@@ -25,6 +25,7 @@ from rcur.gcur import (
 )
 from rcur.gsvd import gsvd, randomized_gsvd
 from rcur.linalg import RankDeficiencyError
+from rcur.selection import default_khat
 from rcur.sketch import SketchConfig
 
 
@@ -267,6 +268,21 @@ def test_randomized_gcur_equals_the_full_factor_route(seed, pair, cfg):
         for name in ("p", "s_a", "s_b", "m_a", "m_b"):
             assert np.array_equal(getattr(fac, name), getattr(ref, name)), \
                 (rand.__name__, name)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_deterministic_gcur_equals_the_full_factor_route(seed):
+    # gcur_deterministic forms only the GSVD columns its selection reads;
+    # indices and middle matrices must be those of the full factors, bitwise
+    _, e, a_e = exp1_instance(600, 80, 0.05, seed)
+    full = gsvd(a_e, e)
+    for k in (5, 10, 20):
+        for khat in (None, default_khat(k)):
+            ref = gcur_from_factors(a_e, e, full, k, khat)
+            fac = gcur_deterministic(a_e, e, k, khat)
+            for name in ("p", "s_a", "s_b", "m_a", "m_b"):
+                assert np.array_equal(getattr(fac, name), getattr(ref, name)), \
+                    (k, khat, name)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import rcur.gsvd
 import rcur.linalg
+import rcur.rsvd
 from rcur.bench import exp1_instance
 from rcur.linalg import (
     DimensionError,
@@ -16,8 +17,10 @@ from rcur.linalg import (
     cholesky_qr2,
     qr_stack,
 )
-from rcur.gcur import gcur_deterministic, r_deim_gcur, r_ldeim_gcur
+from rcur.gcur import gcur_bound, gcur_deterministic, r_deim_gcur, r_ldeim_gcur
 from rcur.gsvd import BETA_ZERO_TOL, _cs_gsvd, gsvd, randomized_gsvd
+from rcur.rsvd import randomized_rsvd, rsvd_deterministic
+from rcur.rsvd_cur import r_ldeim_rsvd_cur, rsvd_cur
 from rcur.sketch import SketchConfig, _range_finder
 
 
@@ -167,17 +170,17 @@ def test_randomized_clamps_excess_width():
 @pytest.mark.parametrize("scale", [1e-308, 1e-16, 1e30, 1e160])
 def test_rank_decision_ignores_scale(scale, householder_shapes):
     # a well-conditioned pair is full rank at any scale; the GSVD values and
-    # the GCUR indices do not depend on it.  At 1e160 the Gram matrix of the
-    # stack overflows, at 1e-308 it underflows, and its QR falls back to
-    # Householder without a warning; at 1e-308 the selection reads
-    # subnormal bases
+    # the GCUR indices do not depend on it.  At 1e160 the Gram matrices of A
+    # and of the stack [B; R_A] overflow, at 1e-308 they underflow, and both
+    # QRs fall back to Householder without a warning; at 1e-308 the
+    # selection reads subnormal bases
     a, b = random_pair(12, m=60, d=40, n=20)
     det = gsvd(a, b)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scaled = gsvd(scale * a, scale * b)
         assert householder_shapes == ([] if 1e-150 < scale < 1e150
-                                      else [(100, 20)])
+                                      else [(60, 20), (60, 20)])
         ref = gcur_deterministic(a, b, 10)
         fac = gcur_deterministic(scale * a, scale * b, 10)
     assert np.allclose(scaled.gamma, det.gamma, atol=1e-12)
@@ -243,7 +246,7 @@ def test_small_beta_completion_runs_out_when_b_is_short():
     b = rng.standard_normal((4, 6))
     b[:, 2] = 0.0
     b[3] = b[0]
-    f = _cs_gsvd(a, b)
+    f = _cs_gsvd(_triangle(a), b)
     assert (f.beta < BETA_ZERO_TOL).sum() == 3
     _check_filled_columns(f, b)
 
@@ -262,6 +265,11 @@ def test_filled_v_columns_do_not_depend_on_the_qr_route(on_both_routes):
         fill = np.flatnonzero(f.beta < BETA_ZERO_TOL)
         assert fill.size == 3
         assert np.abs(f.v[:, fill] - ref.v[:, fill]).max() <= 1e-11, seed
+
+
+def _triangle(a):
+    """A tall A as the kernel's callers pass it: its n-by-n R factor."""
+    return np.linalg.qr(a, mode="r") if a.shape[0] > a.shape[1] else a
 
 
 def _short_deficient_b_pair():
@@ -288,6 +296,7 @@ def test_leading_columns_equal_the_full_kernel(pair):
     # call's to a few ulps of each column's norm; with a small beta among
     # the leading columns the kernel forms them all, so they match bitwise
     a, b = pair()
+    a = _triangle(a)
     full = _cs_gsvd(a, b)
     n = a.shape[1]
     for r in range(1, n + 3):
@@ -321,11 +330,11 @@ def _pair_with_values(seed, m, d, gamma):
 
 
 def _check_against_tall_svd(a, b):
-    """The kernel against the explicit thin SVD of the formed A-block."""
+    """``gsvd`` against the explicit thin SVD of the A-block of [B; A]."""
     q, _ = qr_stack([b, a])
     oracle = np.linalg.svd(q.rows(b.shape[0], b.shape[0] + a.shape[0]),
                            compute_uv=False)
-    f = _cs_gsvd(a, b)
+    f = gsvd(a, b)
     r = f.u.shape[1]
     assert np.abs(f.gamma[:r] - oracle).max() <= 1e-13
     assert np.linalg.norm(f.u.T @ f.u - np.eye(r)) <= 1e-12
@@ -351,9 +360,10 @@ def svd_shapes(monkeypatch):
 @pytest.mark.parametrize("smallest, householder", [(0.5, False), (1e-9, True)])
 def test_tall_a_block_goes_through_qr_stack(smallest, householder,
                                             householder_shapes, svd_shapes):
-    # a tall A-block is QR-factored and only its n-by-n R meets an SVD.
-    # With gamma down to 1e-9 the block has kappa ~ 1e9, CholeskyQR2
-    # declines and qr_stack runs Householder on the block alone
+    # a tall A is QR-factored first and only the n-by-n A-block of
+    # [B; R_A] meets an SVD.  With gamma down to 1e-9, A has kappa ~ 1e9,
+    # CholeskyQR2 declines and qr_stack runs Householder on A alone; the
+    # stack [B; R_A] keeps the well-conditioned singular values of [B; A]
     m, d, n = 600, 400, 40
     a, b = _pair_with_values(30, m, d, np.geomspace(0.9, smallest, n))
     _check_against_tall_svd(a, b)
@@ -364,11 +374,40 @@ def test_tall_a_block_goes_through_qr_stack(smallest, householder,
 
 @pytest.mark.parametrize("m", [40, 41], ids=["square", "one-row-taller"])
 def test_a_block_at_the_tall_boundary_matches_the_tall_svd(m, svd_shapes):
-    # m = n keeps the SVD of the block itself; m = n + 1 is the smallest
-    # block that takes the QR route
+    # A is reduced to its n-by-n triangle whatever its height, so a square
+    # A and one a row taller each meet one n-by-n SVD
     a, b = random_pair(31, m=m, d=60, n=40)
     _check_against_tall_svd(a, b)
     assert svd_shapes == [(40, 40)]
+
+
+def test_no_entry_point_hands_the_kernel_a_tall_a_side(monkeypatch):
+    # every caller reduces a tall A-side to its triangle, or sketches it,
+    # before the CS step: the kernel never factors more than n rows of it
+    seen = []
+
+    def spy(a, b, cols=None):
+        seen.append(a.shape)
+        return _cs_gsvd(a, b, cols=cols)
+
+    for mod in (rcur.gsvd, rcur.rsvd):
+        monkeypatch.setattr(mod, "_cs_gsvd", spy)
+    rng = np.random.default_rng(32)
+    a, b = rng.standard_normal((60, 12)), rng.standard_normal((50, 12))
+    ta, tb, tg = (rng.standard_normal(s) for s in ((20, 8), (20, 40), (30, 8)))
+    cfg = SketchConfig(4, 2, seed=0)
+    for call in (lambda: gsvd(a, b), lambda: gcur_deterministic(a, b, 4),
+                 lambda: gcur_bound(a, b, 4, 2),
+                 lambda: randomized_gsvd(a, b, cfg),
+                 lambda: r_deim_gcur(a, b, cfg),
+                 lambda: r_ldeim_gcur(a, b, cfg),
+                 lambda: rsvd_deterministic(ta, tb, tg),
+                 lambda: randomized_rsvd(ta, tb, tg, cfg),
+                 lambda: rsvd_cur(ta, tb, tg, 4),
+                 lambda: r_ldeim_rsvd_cur(ta, tb, tg, cfg)):
+        seen.clear()
+        call()
+        assert seen and all(rows <= cols for rows, cols in seen), seen
 
 
 @pytest.fixture

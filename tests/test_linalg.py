@@ -129,10 +129,13 @@ def check_against_explicit_q(b, a):
     assert np.array_equal(qa, q_ref[d:])
     _, _, zt = np.linalg.svd(qa, full_matrices=a.shape[0] < n)
     assert np.abs(q.rows(0, d, zt.T) - q_ref[:d] @ zt.T).max() <= 1e-13
-    # and the GSVD factors built from them stay orthonormal
+    # and the GSVD factors built on this route stay orthonormal; a tall A
+    # enters the kernel as its triangle, as ``gsvd`` passes it
+    if a.shape[0] > n:
+        a = np.linalg.qr(a, mode="r")
     f = _cs_gsvd(a, b)
-    assert_orthonormal(f.u, rows)
-    assert_orthonormal(f.v[:, f.beta >= BETA_ZERO_TOL], rows)
+    assert_orthonormal(f.u, d + a.shape[0])
+    assert_orthonormal(f.v[:, f.beta >= BETA_ZERO_TOL], d + a.shape[0])
 
 
 @pytest.mark.parametrize("cond", [1e4, 1e8, 1e11])
@@ -233,14 +236,15 @@ def test_gsvd_stack_falls_back_to_one_householder_qr(householder_shapes):
     rng = np.random.default_rng(10)
     x = conditioned(rng, 5500, 120, 1e10)
     gsvd(x[2500:], x[:2500])
-    assert householder_shapes == [(5500, 120)]
-    # a full-rank stack takes CholeskyQR2
+    # A alone, then the stack [B; R_A]: each declines CholeskyQR2
+    assert householder_shapes == [(3000, 120), (2620, 120)]
+    # a full-rank pair takes CholeskyQR2
     householder_shapes.clear()
     x = rng.standard_normal((5500, 120))
-    _cs_gsvd(x[2500:], x[:2500])
+    gsvd(x[2500:], x[:2500])
     assert householder_shapes == []
     # a singular stack makes CholeskyQR2 decline quietly; the one
-    # Householder QR still reproduces the stack, but the kernel refuses it
+    # Householder QR still reproduces the stack, but gsvd refuses the pair
     x[:, 7] = 0.0
     b, a = x[:2500], x[2500:]
     with warnings.catch_warnings():
@@ -249,7 +253,7 @@ def test_gsvd_stack_falls_back_to_one_householder_qr(householder_shapes):
     assert householder_shapes == [(5500, 120)]
     assert np.linalg.norm(q.rows(0, 5500) @ r - x) <= 1e-13 * np.linalg.norm(x)
     with pytest.raises(RankDeficiencyError):
-        _cs_gsvd(a, b)
+        gsvd(a, b)
 
 
 def test_stack_rank_test_ignores_column_scale(monkeypatch):
@@ -286,10 +290,10 @@ def test_gsvd_cholesky_route_matches_householder_route(cond, monkeypatch):
         x = conditioned(np.random.default_rng(seed), 5500, 120, cond)
         b, a = x[:2500], x[2500:]
         assert cholesky_qr2([b, a]) is not None
-        f = _cs_gsvd(a, b)
+        f = gsvd(a, b)
         with monkeypatch.context() as m:
             m.setattr(rcur.linalg, "cholesky_qr2", lambda blocks: None)
-            ref = _cs_gsvd(a, b)
+            ref = gsvd(a, b)
         assert np.abs(f.gamma - ref.gamma).max() <= 10 * cond * eps
         assert np.abs(f.beta - ref.beta).max() <= 10 * cond * eps
         for got, want in ((f.reconstruct_a(), a), (f.reconstruct_b(), b)):
